@@ -90,8 +90,6 @@ class FileCache {
   void insert(PageKey key, std::int64_t locus, bool dirty,
               std::vector<std::pair<std::int64_t, Bytes64>>& writebacks);
 
-  sim::Co<void> evict_for(Bytes64 needed);
-
   sim::Simulator& sim_;
   DiskModel& disk_;
   FileCacheParams params_;

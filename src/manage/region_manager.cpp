@@ -47,47 +47,58 @@ int RegionManager::csetPolicy(Policy policy) {
   return 0;
 }
 
+void RegionManager::stamp(int cd, Region& r) {
+  const std::uint64_t now = ++access_clock_;
+  if (r.resident) {
+    // The new stamp is the largest ever issued, so the entry moves to the
+    // back; reusing its node avoids an allocation per cache hit.
+    auto node = by_recency_.extract({r.last_access, cd});
+    assert(!node.empty());
+    node.value().first = now;
+    by_recency_.insert(by_recency_.end(), std::move(node));
+  }
+  r.last_access = now;
+}
+
+void RegionManager::forget(int cd, const Region& r) {
+  if (r.resident) by_recency_.erase({r.last_access, cd});
+  regions_.erase(cd);
+}
+
 int RegionManager::select_victim(int incoming_cd) const {
+  // The incoming region is normally not resident; it is skipped for the
+  // rare concurrent fault that admitted it while this reaper ran.
   switch (params_.policy) {
     case Policy::kFirstIn:
       // First-in never displaces a cached region: the incoming region
       // itself loses and bypasses the local cache.
       return -1;
     case Policy::kLru:
-    case Policy::kMru: {
-      int victim = -1;
-      std::uint64_t best = 0;
-      for (const auto& [cd, r] : regions_) {
-        if (!r.resident || cd == incoming_cd) continue;
-        const bool better =
-            victim < 0 || (params_.policy == Policy::kLru
-                               ? r.last_access < best
-                               : r.last_access > best);
-        if (better) {
-          victim = cd;
-          best = r.last_access;
-        }
+      for (const auto& [last_access, cd] : by_recency_) {
+        if (cd != incoming_cd) return cd;
       }
-      return victim;
-    }
+      return -1;
+    case Policy::kMru:
+      for (auto it = by_recency_.rbegin(); it != by_recency_.rend(); ++it) {
+        if (it->second != incoming_cd) return it->second;
+      }
+      return -1;
   }
   return -1;
 }
 
 int RegionManager::select_safe_victim(int incoming_cd) const {
   if (params_.policy == Policy::kFirstIn) return -1;  // never displaces
-  int victim = -1;
-  std::uint64_t best = 0;
-  for (const auto& [cd, r] : regions_) {
-    if (!r.resident || cd == incoming_cd) continue;
+  // replica_depth >= 2 needs a fragment with two copies, which the client
+  // flags the first time it maps one: until then no resident can qualify.
+  if (!dodo_.multi_copy_seen()) return -1;
+  for (const auto& [last_access, cd] : by_recency_) {
+    if (cd == incoming_cd) continue;
+    const Region& r = regions_.at(cd);
     if (r.dirty || !r.remote_valid) continue;
-    if (r.rdesc < 0 || dodo_.replica_depth(r.rdesc) < 2) continue;
-    if (victim < 0 || r.last_access < best) {
-      victim = cd;
-      best = r.last_access;
-    }
+    if (r.rdesc >= 0 && dodo_.replica_depth(r.rdesc) >= 2) return cd;
   }
-  return victim;
+  return -1;
 }
 
 sim::Co<void> RegionManager::write_to_disk(int cd, Region& r,
@@ -155,6 +166,9 @@ sim::Co<void> RegionManager::drop_local(int cd, Region& r) {
   if (r.dirty) co_await write_to_disk(cd, r);
   r.local.clear();
   r.local.shrink_to_fit();
+  // Erased by the stamp the region holds now: a cread may have re-stamped
+  // it while the write-back above was in flight.
+  by_recency_.erase({r.last_access, cd});
   r.resident = false;
   resident_bytes_ -= r.len;
   ++metrics_.evictions;
@@ -234,6 +248,7 @@ sim::Co<bool> RegionManager::fault_in(int cd, Region& r,
     metrics_.bytes_from_disk += r.len;
   }
   r.resident = true;
+  by_recency_.emplace(r.last_access, cd);
   r.dirty = false;
   r.admitted_at = ++access_clock_;
   resident_bytes_ += r.len;
@@ -255,7 +270,7 @@ sim::Co<Bytes64> RegionManager::cread(int cd, Bytes64 offset,
   obs::ScopedSpan span(params_.spans, "manage.cread");
   const auto pol = static_cast<std::size_t>(params_.policy);
   if (r->resident) ++policy_hits_[pol]; else ++policy_misses_[pol];
-  r->last_access = ++access_clock_;
+  stamp(cd, *r);
 
   if (!r->resident && !co_await fault_in(cd, *r, span.ctx())) {
     co_await serve_bypass_read(*r, offset, buf, n, span.ctx());
@@ -351,7 +366,7 @@ sim::Co<Bytes64> RegionManager::cwrite(int cd, Bytes64 offset,
   obs::ScopedSpan span(params_.spans, "manage.cwrite");
   const auto pol = static_cast<std::size_t>(params_.policy);
   if (r->resident) ++policy_hits_[pol]; else ++policy_misses_[pol];
-  r->last_access = ++access_clock_;
+  stamp(cd, *r);
 
   if (!r->resident && !co_await fault_in(cd, *r, span.ctx())) {
     // Bypass: write through to disk and, if a valid remote copy exists,
@@ -434,7 +449,7 @@ sim::Co<int> RegionManager::cclose(int cd) {
   if (r->rdesc >= 0 && dodo_.active(r->rdesc)) {
     co_await dodo_.mclose(r->rdesc);
   }
-  regions_.erase(cd);
+  forget(cd, *r);
   co_return 0;
 }
 
@@ -455,7 +470,7 @@ sim::Co<void> RegionManager::close_all(bool keep_remote) {
         co_await dodo_.mclose(r.rdesc);
       }
       if (r.resident) resident_bytes_ -= r.len;
-      regions_.erase(cd);  // leave the remote copy cached for the next run
+      forget(cd, r);  // leave the remote copy cached for the next run
     } else {
       co_await cclose(cd);
     }

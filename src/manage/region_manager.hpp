@@ -22,7 +22,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
@@ -139,6 +141,13 @@ class RegionManager {
 
   Region* lookup(int cd);
 
+  /// Gives the region a fresh `last_access` stamp, re-keying its recency
+  /// entry when resident.
+  void stamp(int cd, Region& r);
+
+  /// Erases the region (and its recency entry) from the cache's books.
+  void forget(int cd, const Region& r);
+
   /// Figure 5: frees local space for `incoming` (needs `need` bytes).
   /// Returns true if the incoming region may be admitted.
   sim::Co<bool> grim_reaper(int incoming_cd, Bytes64 need,
@@ -152,6 +161,7 @@ class RegionManager {
   /// and whose remote copy is current on >= 2 live replicas. Dropping it
   /// costs no I/O and the data outlives any single idle-host reclaim; -1
   /// when no such region exists (fall through to the policy victim).
+  /// O(1) while the client has never mapped a multi-copy fragment.
   [[nodiscard]] int select_safe_victim(int incoming_cd) const;
 
   sim::Co<void> write_to_disk(int cd, Region& r, obs::TraceContext ctx = {});
@@ -189,6 +199,12 @@ class RegionManager {
   std::array<std::uint64_t, 3> policy_misses_{};
 
   std::unordered_map<int, Region> regions_;
+  /// Recency index: exactly the resident regions, keyed by their current
+  /// (last_access, cd). Stamps come from a strictly increasing clock and a
+  /// region is stamped before it faults in, so residents never tie: the
+  /// front is the LRU victim and the back the MRU victim, as a full scan
+  /// of regions_ would pick them.
+  std::set<std::pair<std::uint64_t, int>> by_recency_;
   int next_cd_ = 0;
   Bytes64 resident_bytes_ = 0;
   std::uint64_t access_clock_ = 0;

@@ -183,6 +183,7 @@ void DodoClient::apply_replica_update(std::uint8_t op,
         case ReplicaUpdateOp::kActivate:
           erase_wo();
           if (!in_reps()) reps.push_back(loc);
+          if (reps.size() >= 2) multi_copy_seen_ = true;
           ++metrics_.replica_updates_applied;
           break;
         case ReplicaUpdateOp::kDrop:
@@ -379,8 +380,11 @@ sim::Co<std::pair<int, bool>> DodoClient::mopen_ex(Bytes64 len, int fd,
     dodo_errno() = kDodoENOMEM;
     co_return std::pair{-1, false};
   }
+  for (const core::ReplicaSet& f : map.frags) {
+    if (f.replicas.size() >= 2) multi_copy_seen_ = true;
+  }
   const int rd = next_desc_++;
-  regions_[rd] = Entry{key, fd, offset, len, std::move(map), true};
+  regions_[rd] = Entry{key, fd, offset, len, std::move(map), true, {}, 0};
   co_return std::pair{rd, reused};
 }
 

@@ -243,6 +243,11 @@ class DodoClient {
   /// remote copy survives any single host loss.
   [[nodiscard]] std::uint32_t replica_depth(int rd) const;
 
+  /// True once any descriptor's map has held a fragment with two or more
+  /// copies; never cleared. While false, replica_depth() < 2 for every
+  /// descriptor, so libmanage can skip its replica-safe victim walk.
+  [[nodiscard]] bool multi_copy_seen() const { return multi_copy_seen_; }
+
   // -- DodoRing accounting hooks (src/runtime/ring.hpp) --------------------
   // The ring is a separate object; its counters live in ClientMetrics so a
   // single snapshot covers the whole runtime, gated on ring_attached.
@@ -420,6 +425,9 @@ class DodoClient {
   /// At most one open batch per descriptor; erased when the flush starts.
   std::unordered_map<int, std::shared_ptr<ReadBatch>> pending_batches_;
   bool ring_attached_ = false;
+  /// See multi_copy_seen(). Copy counts only grow at the mopen_ex insert
+  /// and a kActivate delta, so those are the only two places that set it.
+  bool multi_copy_seen_ = false;
   int next_desc_ = 0;
   SimTime last_alloc_fail_ = -(1LL << 62);
 

@@ -1,11 +1,16 @@
 // Tests for the region-management library (libmanage): caching states,
-// replacement policies, grimReaper migration, write-back, persistence and
-// failure degradation.
+// replacement policies (victim order checked against a full-scan reference
+// model), the replica-safe victim pre-pass, grimReaper migration,
+// write-back, persistence and failure degradation. Labeled `manage`.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/cmd.hpp"
 #include "core/imd.hpp"
@@ -31,10 +36,10 @@ struct Fixture {
   int fd = -1;
 
   explicit Fixture(ManageParams mp = {}, int hosts = 1,
-                   Bytes64 pool = 32_MiB)
+                   Bytes64 pool = 32_MiB, core::CmdParams cp = {})
       : net(sim, net::NetParams::unet(),
             static_cast<std::size_t>(hosts) + 2),
-        cmd(sim, net, 0),
+        cmd(sim, net, 0, cp),
         fs(sim),
         client(sim, net, 1, net::Endpoint{0, core::kCmdPort}, fs, {}),
         mgr(sim, client, fs, mp) {
@@ -284,6 +289,213 @@ TEST(Manage, FirstInAccountsHitsAndNeverReaps) {
   EXPECT_EQ(fx.mgr.policy_misses(Policy::kFirstIn), 4u);
   // "Once a region is cached, it is not replaced": the reaper never fires.
   EXPECT_EQ(fx.mgr.metrics().reaper_victims, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Victim-order equivalence: a seeded random mix of cread/cwrite/cclose and
+// mid-run LRU<->MRU switches over 64 equal-size regions with room for 8.
+// After every op the manager's residency must match a reference model that
+// picks each victim by a full scan over per-region access stamps.
+
+struct ReferenceCache {
+  std::size_t capacity = 0;
+  Policy policy = Policy::kLru;
+  std::uint64_t clock = 0;
+  std::map<int, std::uint64_t> stamp;  // last access of every open region
+  std::set<int> resident;
+  std::set<int> dirty;
+  int dirty_victims = 0;
+  std::array<int, 2> victims{};  // indexed by Policy (LRU, MRU)
+
+  void access(int cd, bool write) {
+    stamp[cd] = ++clock;
+    if (resident.count(cd) == 0) {
+      if (resident.size() == capacity) evict();
+      resident.insert(cd);
+    }
+    if (write) dirty.insert(cd);
+  }
+
+  void evict() {
+    int victim = -1;
+    for (const int cd : resident) {
+      const bool better =
+          victim < 0 || (policy == Policy::kLru ? stamp[cd] < stamp[victim]
+                                                : stamp[cd] > stamp[victim]);
+      if (better) victim = cd;
+    }
+    ++victims[static_cast<std::size_t>(policy)];
+    dirty_victims += static_cast<int>(dirty.erase(victim));
+    resident.erase(victim);
+  }
+
+  void close(int cd) {
+    stamp.erase(cd);
+    resident.erase(cd);
+    dirty.erase(cd);
+  }
+};
+
+TEST(Manage, VictimOrderMatchesFullScanReference) {
+  constexpr int kRegions = 64;
+  constexpr Bytes64 kLen = 16_KiB;
+  ManageParams mp;
+  mp.local_cache_bytes = 8 * kLen;
+  Fixture fx(mp);
+  ReferenceCache ref;
+  ref.capacity = 8;
+  int switches = 0;
+  int resident_closes = 0;
+  int cold_closes = 0;
+  fx.run([&](Fixture& f) -> Co<void> {
+    Rng rng(0x5eed);
+    net::Buf data = pattern(256, 7);
+    std::vector<int> slots;  // slot -> open descriptor over that file range
+    for (int i = 0; i < kRegions; ++i) {
+      slots.push_back(f.mgr.copen(kLen, f.fd, i * kLen));
+    }
+    std::vector<int> closed;
+    for (int op = 0; op < 1200; ++op) {
+      const auto slot = static_cast<std::size_t>(rng.below(kRegions));
+      int& cd = slots[slot];
+      const auto dice = rng.below(100);
+      if (dice < 2) {
+        ref.policy = ref.policy == Policy::kLru ? Policy::kMru : Policy::kLru;
+        EXPECT_EQ(f.mgr.csetPolicy(ref.policy), 0);
+        ++switches;
+      } else if (dice < 6) {
+        ++(f.mgr.resident(cd) ? resident_closes : cold_closes);
+        EXPECT_EQ(co_await f.mgr.cclose(cd), 0);
+        ref.close(cd);
+        closed.push_back(cd);
+        cd = f.mgr.copen(kLen, f.fd, static_cast<Bytes64>(slot) * kLen);
+      } else if (dice < 36) {
+        EXPECT_EQ(co_await f.mgr.cwrite(cd, 64, data.data(), 256), 256);
+        ref.access(cd, /*write=*/true);
+      } else {
+        EXPECT_EQ(co_await f.mgr.cread(cd, 0, nullptr, 512), 512);
+        ref.access(cd, /*write=*/false);
+      }
+      int mismatches = 0;
+      for (const int c : slots) {
+        if (f.mgr.resident(c) != (ref.resident.count(c) != 0)) ++mismatches;
+      }
+      for (const int c : closed) mismatches += f.mgr.resident(c) ? 1 : 0;
+      EXPECT_EQ(mismatches, 0) << "after op " << op;
+      if (mismatches != 0) co_return;
+    }
+  }, 600_s);
+  // The run exercised what it claims to: both policies reaped, the policy
+  // flipped mid-run, closes hit resident and cold regions, victims were
+  // dirty, and single-copy regions never took the replica-safe pre-pass.
+  EXPECT_GT(ref.victims[0], 100);
+  EXPECT_GT(ref.victims[1], 100);
+  EXPECT_GE(switches, 4);
+  EXPECT_GT(resident_closes, 0);
+  EXPECT_GT(cold_closes, 0);
+  EXPECT_GT(ref.dirty_victims, 0);
+  EXPECT_EQ(fx.mgr.metrics().reaper_victims,
+            static_cast<std::uint64_t>(ref.victims[0] + ref.victims[1]));
+  EXPECT_EQ(fx.mgr.metrics().replica_safe_evictions, 0u);
+  EXPECT_EQ(fx.mgr.resident_bytes(),
+            static_cast<Bytes64>(ref.resident.size()) * kLen);
+}
+
+// ---------------------------------------------------------------------------
+// The replica-aware pre-pass: a clean resident whose remote copy is current
+// on >= 2 live replicas is reaped ahead of the policy victim. The cache
+// holds two 64 KiB regions.
+
+ManageParams two_region_cache() {
+  ManageParams mp;
+  mp.local_cache_bytes = 128_KiB;
+  return mp;
+}
+
+core::CmdParams replicas(int count) {
+  core::CmdParams cp;
+  cp.replica_count = count;
+  return cp;
+}
+
+// a is read first and never cloned (its remote copy holds nothing); b is
+// read next and csync'ed, so it is clean and current in remote memory.
+// Faulting c in then needs one victim.
+Co<void> reap_beside_one_cloned_resident(Fixture& f, int a, int b, int c) {
+  co_await f.mgr.cread(a, 0, nullptr, 64);
+  co_await f.mgr.cread(b, 0, nullptr, 64);
+  EXPECT_EQ(co_await f.mgr.csync(b), 0);
+  co_await f.mgr.cread(c, 0, nullptr, 64);
+}
+
+TEST(Manage, ReplicaSafeVictimJumpsLruOrder) {
+  Fixture fx(two_region_cache(), 3, 32_MiB, replicas(2));
+  fx.run([](Fixture& f) -> Co<void> {
+    const int a = f.mgr.copen(64_KiB, f.fd, 0);
+    const int b = f.mgr.copen(64_KiB, f.fd, 64_KiB);
+    const int c = f.mgr.copen(64_KiB, f.fd, 128_KiB);
+    co_await reap_beside_one_cloned_resident(f, a, b, c);
+    EXPECT_TRUE(f.mgr.resident(a));   // the LRU, but not safe to drop
+    EXPECT_FALSE(f.mgr.resident(b));  // clean on two copies: dropped first
+    EXPECT_TRUE(f.mgr.resident(c));
+  });
+  const auto& m = fx.mgr.metrics();
+  EXPECT_EQ(m.reaper_victims, 1u);
+  EXPECT_EQ(m.replica_safe_evictions, 1u);
+  EXPECT_EQ(m.clones, 1u);  // the csync: the safe drop pushed nothing
+  EXPECT_EQ(m.dirty_writebacks, 0u);
+  EXPECT_EQ(fx.mgr.metrics_snapshot().counter_value(
+                "manage.replica_safe_evictions"),
+            1u);
+  EXPECT_EQ(fx.cmd.metrics().replicas_placed, 3u);  // a second copy each
+}
+
+TEST(Manage, SingleCopyRegionsKeepPlainLruOrder) {
+  // The same sequence with one copy per region: b's remote copy is current
+  // but would not survive a host loss, so the LRU resident a is reaped.
+  Fixture fx(two_region_cache(), 3, 32_MiB, replicas(1));
+  fx.run([](Fixture& f) -> Co<void> {
+    const int a = f.mgr.copen(64_KiB, f.fd, 0);
+    const int b = f.mgr.copen(64_KiB, f.fd, 64_KiB);
+    const int c = f.mgr.copen(64_KiB, f.fd, 128_KiB);
+    co_await reap_beside_one_cloned_resident(f, a, b, c);
+    EXPECT_FALSE(f.mgr.resident(a));
+    EXPECT_TRUE(f.mgr.resident(b));
+    EXPECT_TRUE(f.mgr.resident(c));
+    co_await f.mgr.cread(a, 0, nullptr, 64);  // LRU again: b, though cloned
+    EXPECT_FALSE(f.mgr.resident(b));
+    EXPECT_TRUE(f.mgr.resident(c));
+  });
+  EXPECT_EQ(fx.mgr.metrics().reaper_victims, 2u);
+  EXPECT_EQ(fx.mgr.metrics().replica_safe_evictions, 0u);
+  EXPECT_EQ(fx.cmd.metrics().replicas_placed, 0u);
+}
+
+TEST(Manage, DirtyOrUnclonedResidentIsNeverSafeVictim) {
+  Fixture fx(two_region_cache(), 3, 32_MiB, replicas(2));
+  net::Buf data = pattern(64_KiB, 3);
+  fx.run([&data](Fixture& f) -> Co<void> {
+    const int a = f.mgr.copen(64_KiB, f.fd, 0);
+    const int b = f.mgr.copen(64_KiB, f.fd, 64_KiB);
+    const int c = f.mgr.copen(64_KiB, f.fd, 128_KiB);
+    co_await f.mgr.cread(a, 0, nullptr, 64);  // clean, never cloned
+    co_await f.mgr.cread(b, 0, nullptr, 64);
+    EXPECT_EQ(co_await f.mgr.csync(b), 0);    // b is safe here...
+    EXPECT_EQ(co_await f.mgr.cwrite(b, 0, data.data(), 64_KiB), 64_KiB);
+    // ...but dirty now: no resident qualifies, so the LRU a goes.
+    co_await f.mgr.cread(c, 0, nullptr, 64);
+    EXPECT_FALSE(f.mgr.resident(a));
+    EXPECT_TRUE(f.mgr.resident(b));
+    // Residents: b (dirty) and c (clean, never cloned). Still none.
+    co_await f.mgr.cread(a, 0, nullptr, 64);
+    EXPECT_FALSE(f.mgr.resident(b));
+    EXPECT_TRUE(f.mgr.resident(c));
+  });
+  const auto& m = fx.mgr.metrics();
+  EXPECT_EQ(m.reaper_victims, 2u);
+  EXPECT_EQ(m.replica_safe_evictions, 0u);
+  EXPECT_EQ(m.dirty_writebacks, 1u);
+  EXPECT_GE(fx.cmd.metrics().replicas_placed, 3u);
 }
 
 TEST(Manage, CsyncPushesToRemoteAndDisk) {

@@ -6,9 +6,10 @@
 // misses, and the keep-alive loop grows hot regions / shrinks cold ones
 // Ditto-style. These tests pin the placement policy, the failover order
 // (sibling before disk), the staleness contract (a copy that missed a
-// write is never served), the elastic grow/shrink handshake, and the two
-// data-path bugfix regressions that ride along (pending-free slot
-// accounting under eviction, OR-joined write fan-out aggregation).
+// write is never served), the elastic grow/shrink handshake (and that
+// libmanage sees a grown copy), and the two data-path bugfix regressions
+// that ride along (pending-free slot accounting under eviction, OR-joined
+// write fan-out aggregation).
 // Labeled `replica` (ctest -L replica / the replica test preset).
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "core/cmd.hpp"
 #include "core/imd.hpp"
 #include "disk/filesystem.hpp"
+#include "manage/region_manager.hpp"
 #include "obs/span.hpp"
 #include "runtime/dodo_client.hpp"
 #include "sim/simulator.hpp"
@@ -301,6 +303,42 @@ TEST(Replica, HotRegionGrowsAndColdRegionShrinks) {
   EXPECT_EQ(fx.cmd.metrics().fragments_pending_free -
                 fx.cmd.metrics().fragments_pending_free_resolved,
             fx.cmd.pending_free_count());
+}
+
+// libmanage's replica-safe victim pre-pass must see copies that arrive after
+// mopen: regions placed with one copy that grow a second through elastic
+// replication (a kActivate delta) become safe victims.
+TEST(Replica, GrownCopyMakesLibmanageVictimReplicaSafe) {
+  core::CmdParams cp = ReplicaFixture::replicated(1);
+  cp.replica_adapt = true;
+  cp.replica_max = 2;
+  cp.replica_grow_hits = 8;
+  cp.replica_shrink_hits = 2;
+  ReplicaFixture fx(3, cp);
+  manage::ManageParams mp;
+  mp.local_cache_bytes = 64_KiB;  // one region: each fault reaps the other
+  manage::RegionManager mgr(fx.sim, fx.client, fx.fs, mp);
+  fx.run([&mgr](ReplicaFixture& f) -> Co<void> {
+    const int a = mgr.copen(64_KiB, f.fd, 0);
+    const int b = mgr.copen(64_KiB, f.fd, 64_KiB);
+    // Ping-pong: the first reap of each region clones it to remote memory,
+    // and every later fault fills from there (one client read hit each).
+    for (int i = 0; i < 12; ++i) {
+      co_await mgr.cread(a, 0, nullptr, 64);
+      co_await mgr.cread(b, 0, nullptr, 64);
+    }
+    EXPECT_EQ(mgr.metrics().reaper_victims, 23u);
+    EXPECT_EQ(mgr.metrics().replica_safe_evictions, 0u);  // one copy each
+
+    // Both keys were hot in the window: each grows a second copy.
+    co_await f.sim.sleep(seconds(7.0));
+    EXPECT_EQ(f.cmd.metrics().replicas_grown, 2u);
+    co_await mgr.cread(a, 0, nullptr, 64);  // reaps b, now on two copies
+    EXPECT_FALSE(mgr.resident(b));
+  });
+  EXPECT_EQ(fx.cmd.metrics().replicas_placed, 0u);  // none came from mopen
+  EXPECT_EQ(mgr.metrics().replica_safe_evictions, 1u);
+  EXPECT_EQ(fx.client.metrics().disk_fallbacks, 0u);
 }
 
 // Bugfix regression (satellite #1): a pending-free retry slot whose owning
