@@ -225,6 +225,7 @@ struct Envelope {
 inline net::Buf make_header(MsgKind kind, std::uint64_t rid,
                             obs::TraceContext ctx = {}) {
   net::Buf h;
+  h.reserve(net::kHeaderReserve);
   net::Writer w(h);
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(rid);

@@ -25,7 +25,11 @@ struct Endpoint {
 };
 
 inline std::string to_string(const Endpoint& e) {
-  return "n" + std::to_string(e.node) + ":" + std::to_string(e.port);
+  std::string s = "n";
+  s += std::to_string(e.node);
+  s += ':';
+  s += std::to_string(e.port);
+  return s;
 }
 
 struct EndpointHash {

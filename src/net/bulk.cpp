@@ -89,6 +89,7 @@ Decoded decode(const Message& msg) {
 
 Buf encode_common(Kind kind, std::uint64_t xfer, obs::TraceContext ctx) {
   Buf h;
+  h.reserve(kHeaderReserve);
   Writer w(h);
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(xfer);

@@ -8,6 +8,7 @@
 // size. Correctness tests always run with materialized bodies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -17,6 +18,12 @@
 namespace dodo::net {
 
 using Buf = std::vector<std::uint8_t>;
+
+/// Capacity a protocol encoder reserves for a fresh header, so that writing
+/// it allocates once instead of growing byte by byte. It covers every
+/// fixed-size header (the largest, a bulk DATA header, is 49 B); headers
+/// with variable-length tails may still grow past it.
+inline constexpr std::size_t kHeaderReserve = 64;
 
 struct Message {
   Endpoint src;

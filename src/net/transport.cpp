@@ -182,36 +182,9 @@ void Network::send(Message msg) {
   // a concurrent sender that physically land earlier, serializing transfers
   // that should overlap. So each datagram is scheduled at its wire-arrival
   // instant, and only then claims the receiver's CPU slot.
-  //
-  // Capture by value: the socket may close before delivery, so we re-resolve
-  // the destination at delivery time, exactly like a NIC handing a frame to
-  // a port nobody listens on.
-  auto schedule_arrival = [this, payload](SimTime at, Message m) {
-    sim_.schedule(at, [this, payload, m = std::move(m)]() mutable {
-      const SimTime rx_start = sim_.now() > rx_free_[m.dst.node]
-                                   ? sim_.now()
-                                   : rx_free_[m.dst.node];
-      const SimTime deliver_at = rx_start + recv_cpu_time(payload);
-      rx_free_[m.dst.node] = deliver_at;
-      sim_.schedule(deliver_at, [this, m = std::move(m)]() mutable {
-        if (!node_up(m.dst.node)) {
-          ++metrics_.datagrams_dropped;
-          return;
-        }
-        auto it = bound_.find(m.dst);
-        if (it == bound_.end()) {
-          ++metrics_.datagrams_dropped;
-          DODO_DEBUG("net", "drop to closed port %s",
-                     to_string(m.dst).c_str());
-          return;
-        }
-        ++metrics_.datagrams_delivered;
-        if (delivery_probe_) delivery_probe_(m);
-        it->second->deliver(std::move(m));
-      });
-    });
+  auto schedule_arrival = [this](SimTime at, std::uint32_t slot) {
+    sim_.schedule(at, [this, slot] { on_arrival(slot); });
   };
-
   if (dup_filter_ && dup_filter_(msg)) {
     // Deliver an identical copy back-to-back after the original, occupying
     // its own slot on the receive link like any real duplicate frame. The
@@ -219,11 +192,53 @@ void Network::send(Message msg) {
     // order keeps original-then-duplicate on the receive link.
     ++metrics_.datagrams_duplicated;
     Message dup = msg;
-    schedule_arrival(arrive, std::move(msg));
-    schedule_arrival(arrive, std::move(dup));
+    schedule_arrival(arrive, park(std::move(msg)));
+    schedule_arrival(arrive, park(std::move(dup)));
     return;
   }
-  schedule_arrival(arrive, std::move(msg));
+  schedule_arrival(arrive, park(std::move(msg)));
+}
+
+std::uint32_t Network::park(Message msg) {
+  if (free_in_flight_.empty()) {
+    in_flight_.push_back(std::move(msg));
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[slot] = std::move(msg);
+  return slot;
+}
+
+void Network::on_arrival(std::uint32_t slot) {
+  const Message& m = in_flight_[slot];
+  const NodeId dst = m.dst.node;
+  const SimTime rx_start = sim_.now() > rx_free_[dst] ? sim_.now()
+                                                      : rx_free_[dst];
+  const SimTime deliver_at = rx_start + recv_cpu_time(m.wire_bytes());
+  rx_free_[dst] = deliver_at;
+  sim_.schedule(deliver_at, [this, slot] { on_delivery(slot); });
+}
+
+void Network::on_delivery(std::uint32_t slot) {
+  // The destination is re-resolved only now: the socket may have closed
+  // since send(), exactly like a NIC handing a frame to a port nobody
+  // listens on. The slot is free before the socket (or the probe) runs.
+  Message m = std::move(in_flight_[slot]);
+  free_in_flight_.push_back(slot);
+  if (!node_up(m.dst.node)) {
+    ++metrics_.datagrams_dropped;
+    return;
+  }
+  auto it = bound_.find(m.dst);
+  if (it == bound_.end()) {
+    ++metrics_.datagrams_dropped;
+    DODO_DEBUG("net", "drop to closed port %s", to_string(m.dst).c_str());
+    return;
+  }
+  ++metrics_.datagrams_delivered;
+  if (delivery_probe_) delivery_probe_(m);
+  it->second->deliver(std::move(m));
 }
 
 void Network::unbind(const Endpoint& ep) { bound_.erase(ep); }

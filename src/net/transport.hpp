@@ -157,6 +157,11 @@ class Network {
   void send(Message msg);
   void unbind(const Endpoint& ep);
 
+  /// Moves a datagram into a free in-flight slot and returns its index.
+  std::uint32_t park(Message msg);
+  void on_arrival(std::uint32_t slot);
+  void on_delivery(std::uint32_t slot);
+
   sim::Simulator& sim_;
   NetParams params_;
   Rng loss_rng_;
@@ -167,6 +172,10 @@ class Network {
   std::set<std::pair<NodeId, NodeId>> cut_links_;  // normalized (lo, hi)
   std::vector<Port> next_ephemeral_;
   std::unordered_map<Endpoint, Socket*, EndpointHash> bound_;
+  // Datagrams between send() and delivery. The arrival and delivery events
+  // capture only (this, slot), which fits std::function's inline buffer.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   std::function<void(const Message&)> delivery_probe_;
   std::function<bool(const Message&)> drop_filter_;
   std::function<bool(const Message&)> dup_filter_;

@@ -10,6 +10,13 @@ std::vector<HealthViolation> HealthMonitor::on_sample(
     out.push_back(HealthViolation{rule, std::move(detail)});
   };
   auto i64 = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+  // "+<d>", appended rather than written `"+" + std::to_string(d)`, which
+  // draws a false -Wrestrict from GCC 12 at -O3.
+  auto plus = [](std::int64_t d) {
+    std::string s = "+";
+    s += std::to_string(d);
+    return s;
+  };
 
   // -- live conservation rules (hold at any instant) ------------------------
   const std::int64_t total = i64(snap.counter_value("client.mreads_total"));
@@ -53,7 +60,7 @@ std::vector<HealthViolation> HealthMonitor::on_sample(
           fallbacks - i64(prev_.counter_value("client.disk_fallbacks"));
       if (d > cfg_.disk_fallback_spike) {
         violate("rate.disk_fallback_spike",
-                "+" + std::to_string(d) + " fallbacks in one interval (cap " +
+                plus(d) + " fallbacks in one interval (cap " +
                     std::to_string(cfg_.disk_fallback_spike) + ")");
       }
     }
@@ -63,7 +70,7 @@ std::vector<HealthViolation> HealthMonitor::on_sample(
           i64(prev_.counter_value("cmd.replica_shortfalls"));
       if (d > cfg_.replica_shortfall_growth) {
         violate("rate.replica_shortfall",
-                "+" + std::to_string(d) + " shortfalls in one interval (cap " +
+                plus(d) + " shortfalls in one interval (cap " +
                     std::to_string(cfg_.replica_shortfall_growth) + ")");
       }
     }

@@ -4,21 +4,57 @@
 // never blocks; recv() suspends the receiving coroutine until a value is
 // available; recv_for() additionally wakes with std::nullopt after a timeout.
 //
-// Implementation note on timeouts: events cannot be removed from the event
-// heap, so each pending receive holds a shared "armed" flag. Whichever of
-// {value delivery, timer} fires first disarms the flag; the loser sees the
-// disarmed flag and does nothing.
+// Implementation note on timeouts: a pending recv_for() parks a cancellable
+// timer on the simulator (Simulator::schedule_timeout) and leaves a waiter
+// holding the timer's token in the channel. send() hands its value to the
+// first waiter whose timer it can still cancel; a waiter whose timer already
+// fired is a corpse (its coroutine resumed with std::nullopt and moved on)
+// and is skipped. A plain recv() waiter has no timer and is always live.
 #pragma once
 
 #include <coroutine>
-#include <deque>
-#include <memory>
+#include <cstddef>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.hpp"
 
 namespace dodo::sim {
+
+namespace detail {
+
+/// FIFO over a vector plus a head index. Allocates nothing until the first
+/// push, and reuses its storage across bursts: popping the last element
+/// rewinds to the front, and the consumed prefix is compacted away once it
+/// is at least half the storage, so each element moves O(1) times.
+template <typename T>
+class Fifo {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+
+  void push(T v) { items_.push_back(std::move(v)); }
+
+  T pop() {
+    T v = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return v;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace detail
 
 template <typename T>
 class Channel {
@@ -31,15 +67,15 @@ class Channel {
   /// Enqueues a value; wakes one pending receiver if any (at current time).
   void send(T value) {
     while (!waiters_.empty()) {
-      Waiter w = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (!*w.armed) continue;  // timed out already; skip the corpse
-      *w.armed = false;
+      const Waiter w = waiters_.pop();
+      // A timer that can no longer be cancelled already fired: skip the
+      // corpse.
+      if (w.timer.valid() && !sim_->cancel_timeout(w.timer)) continue;
       *w.slot = std::move(value);
       sim_->schedule_resume(sim_->now(), w.handle);
       return;
     }
-    items_.push_back(std::move(value));
+    items_.push(std::move(value));
   }
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
@@ -59,34 +95,27 @@ class Channel {
   /// Non-blocking receive.
   std::optional<T> try_recv() {
     if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
+    return items_.pop();
   }
 
  private:
   struct Waiter {
     std::coroutine_handle<> handle;
     std::optional<T>* slot;
-    std::shared_ptr<bool> armed;
+    Simulator::TimerToken timer;  // invalid for a plain recv()
   };
 
   struct RecvAwaiter {
     Channel& ch;
     std::optional<T> slot{};
-    std::shared_ptr<bool> armed{};
 
     bool await_ready() {
-      if (!ch.items_.empty()) {
-        slot = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return true;
-      }
-      return false;
+      if (ch.items_.empty()) return false;
+      slot = ch.items_.pop();
+      return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      armed = std::make_shared<bool>(true);
-      ch.waiters_.push_back(Waiter{h, &slot, armed});
+      ch.waiters_.push(Waiter{h, &slot, {}});
     }
     T await_resume() { return std::move(*slot); }
   };
@@ -95,32 +124,23 @@ class Channel {
     Channel& ch;
     Duration timeout;
     std::optional<T> slot{};
-    std::shared_ptr<bool> armed{};
 
     bool await_ready() {
-      if (!ch.items_.empty()) {
-        slot = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return true;
-      }
-      return false;
+      if (ch.items_.empty()) return false;
+      slot = ch.items_.pop();
+      return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      armed = std::make_shared<bool>(true);
-      ch.waiters_.push_back(Waiter{h, &slot, armed});
-      auto flag = armed;
-      ch.sim_->schedule(ch.sim_->now() + timeout, [flag, h] {
-        if (!*flag) return;  // value arrived first
-        *flag = false;
-        h.resume();
-      });
+      const auto timer =
+          ch.sim_->schedule_timeout(ch.sim_->now() + timeout, h);
+      ch.waiters_.push(Waiter{h, &slot, timer});
     }
     std::optional<T> await_resume() { return std::move(slot); }
   };
 
   Simulator* sim_;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  detail::Fifo<T> items_;
+  detail::Fifo<Waiter> waiters_;
 };
 
 /// Counts outstanding work; wait() suspends until the count reaches zero.
@@ -154,7 +174,7 @@ class WaitGroup {
  private:
   Simulator* sim_;
   int count_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace dodo::sim

@@ -4,12 +4,19 @@
 // order, so two events scheduled for the same instant run in the order they
 // were scheduled. All Dodo daemons and applications execute as detached
 // Co<void> coroutines on this loop.
+//
+// The event heap holds trivially copyable (time, sequence, payload) records
+// of three kinds: a coroutine resume carrying only its handle, a generic
+// callback parked in a slab of std::function slots, and a cancellable timer
+// parked in a slab of timer slots. The steady-state hot path (resumes,
+// timeouts, small callbacks) therefore allocates nothing once the heap and
+// the slabs have grown to the run's peak.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -20,6 +27,19 @@ namespace dodo::sim {
 
 class Simulator {
  public:
+  /// Names one armed timeout (see schedule_timeout). `gen` is the timer
+  /// event's insertion sequence number, unique for the simulator's life, so
+  /// a token whose timer already fired or was cancelled never matches the
+  /// next timer parked in the same slot. A default token names no timer.
+  struct TimerToken {
+    static constexpr std::uint32_t kNone = UINT32_MAX;
+
+    std::uint32_t slot = kNone;
+    std::uint64_t gen = 0;
+
+    [[nodiscard]] bool valid() const { return slot != kNone; }
+  };
+
   explicit Simulator(std::uint64_t seed = 1);
   ~Simulator();
 
@@ -34,6 +54,16 @@ class Simulator {
 
   /// Schedules a coroutine resume at absolute time `t` (clamped to now).
   void schedule_resume(SimTime t, std::coroutine_handle<> h);
+
+  /// Schedules a resume of `h` at absolute time `t` (clamped to now) that
+  /// cancel_timeout() can disarm before it fires. A disarmed timer's event
+  /// still pops at `t` and counts in events_processed(); it just resumes
+  /// nothing.
+  TimerToken schedule_timeout(SimTime t, std::coroutine_handle<> h);
+
+  /// Disarms the timer `tok` names. Returns false, and changes nothing, if
+  /// that timer already fired or was cancelled (or `tok` names no timer).
+  bool cancel_timeout(TimerToken tok);
 
   /// Detaches a task onto the loop; its body starts at the current time.
   /// Exceptions escaping a detached task abort the simulation (fail fast).
@@ -88,17 +118,39 @@ class Simulator {
     void await_resume() const noexcept {}
   };
 
+  enum Kind : std::uint64_t { kResume = 0, kCallback = 1, kTimer = 2 };
+  static constexpr unsigned kKindBits = 2;
+
+  union Payload {
+    void* frame;         // kResume: coroutine_handle<>::address()
+    std::uint32_t slot;  // kCallback: callbacks_ index; kTimer: timers_
+  };
+
+  /// One heap entry. `key` is (insertion sequence << kKindBits) | kind;
+  /// sequences are unique, so ordering by (time, key) is exactly the
+  /// (time, sequence) order.
   struct Event {
     SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint64_t key;
+    Payload payload;
+  };
+  static_assert(std::is_trivially_copyable_v<Event>);
 
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.key > b.key;
     }
   };
 
+  struct TimerSlot {
+    std::coroutine_handle<> handle;  // null once fired or cancelled
+    std::uint64_t gen = 0;
+  };
+
+  /// Queues an event at max(t, now); returns its insertion sequence.
+  std::uint64_t push(SimTime t, Kind kind, Payload payload);
+  void dispatch(const Event& ev);
   void reap_finished_tasks();
 
   SimTime now_ = 0;
@@ -107,7 +159,11 @@ class Simulator {
   std::uint64_t event_limit_ = 0;
   bool stop_requested_ = false;
   Rng rng_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::vector<Event> heap_;  // binary min-heap under Later
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint32_t> free_callbacks_;
+  std::vector<TimerSlot> timers_;
+  std::vector<std::uint32_t> free_timers_;
   std::vector<std::coroutine_handle<Co<void>::promise_type>> detached_;
 };
 

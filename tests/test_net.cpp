@@ -5,7 +5,10 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/units.hpp"
 #include "net/bulk.hpp"
 #include "net/codec.hpp"
@@ -190,10 +193,6 @@ TEST(Transport, LossInjectionDropsRoughlyTheConfiguredFraction) {
   EXPECT_NEAR(lost / 4000.0, 0.25, 0.05);
 }
 
-// --------------------------------------------------------------------------
-// Bulk protocol
-// --------------------------------------------------------------------------
-
 Buf make_pattern(std::size_t n) {
   Buf b(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -201,6 +200,126 @@ Buf make_pattern(std::size_t n) {
   }
   return b;
 }
+
+TEST(Transport, SocketClosedInFlightDropsAndSlotReuseStaysIntact) {
+  // The destination closes while the datagram is on the wire: it is dropped
+  // at delivery time, and the next datagram (parked in the slot the dropped
+  // one released) arrives with exactly its own bytes.
+  Simulator sim;
+  Network net(sim, NetParams::unet(), 2);
+  auto a = net.open(0, 10);
+  auto b = net.open(1, 10);
+  a->send(Endpoint{1, 10}, Buf{1, 2, 3}, make_pattern(900));
+  sim.schedule(1_us, [&b] { b.reset(); });
+  sim.run(1_s);
+  EXPECT_EQ(net.metrics().datagrams_dropped, 1u);
+  EXPECT_EQ(net.metrics().datagrams_delivered, 0u);
+
+  b = net.open(1, 10);
+  std::optional<Message> got;
+  sim.spawn([](Socket& sock, std::optional<Message>& g) -> Co<void> {
+    g = co_await sock.recv();
+  }(*b, got));
+  Buf body(300);
+  std::iota(body.begin(), body.end(), std::uint8_t{7});
+  a->send(Endpoint{1, 10}, Buf{4, 5}, body);
+  sim.run(2_s);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->src, (Endpoint{0, 10}));
+  EXPECT_EQ(got->dst, (Endpoint{1, 10}));
+  EXPECT_EQ(got->header, (Buf{4, 5}));
+  EXPECT_EQ(got->body, body);
+  EXPECT_EQ(got->body_size, 300);
+  EXPECT_EQ(net.metrics().datagrams_dropped, 1u);
+  EXPECT_EQ(net.metrics().datagrams_delivered, 1u);
+}
+
+TEST(Transport, DupFilterDeliversOriginalThenCopyBackToBack) {
+  // A duplicated datagram reaches the socket twice in a row, the second
+  // copy exactly one receive-CPU slot after the first, both ahead of the
+  // next datagram and both with intact bytes. The transport moves the
+  // original end to end, so it still owns the sender's header buffer; the
+  // copy owns a fresh one, which tells the two apart.
+  Simulator sim;
+  Network net(sim, NetParams::unet(), 2);
+  auto a = net.open(0, 10);
+  auto b = net.open(1, 10);
+  net.set_dup_filter(
+      [](const Message& m) { return m.header == Buf{1}; });
+  std::vector<std::pair<SimTime, Message>> got;
+  sim.spawn([](Simulator& s, Socket& sock,
+               std::vector<std::pair<SimTime, Message>>& g) -> Co<void> {
+    for (int i = 0; i < 3; ++i) {
+      Message m = co_await sock.recv();
+      g.emplace_back(s.now(), std::move(m));
+    }
+  }(sim, *b, got));
+  Buf header{1};
+  const std::uint8_t* original_header = header.data();
+  a->send(Endpoint{1, 10}, std::move(header), make_pattern(600));
+  a->send(Endpoint{1, 10}, Buf{2}, make_pattern(200));
+  sim.run(1_s);
+  ASSERT_EQ(got.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    const Message& m = got[static_cast<std::size_t>(i)].second;
+    EXPECT_EQ(m.header, (Buf{1})) << "copy " << i;
+    EXPECT_EQ(m.body, make_pattern(600)) << "copy " << i;
+    EXPECT_EQ(m.body_size, 600) << "copy " << i;
+    EXPECT_EQ(m.src, (Endpoint{0, 10})) << "copy " << i;
+  }
+  EXPECT_EQ(got[0].second.header.data(), original_header);
+  EXPECT_NE(got[1].second.header.data(), original_header);
+  EXPECT_EQ(got[1].first - got[0].first, net.recv_cpu_time(601));
+  EXPECT_EQ(got[2].second.header, (Buf{2}));
+  EXPECT_EQ(got[2].second.body, make_pattern(200));
+  EXPECT_EQ(net.metrics().datagrams_duplicated, 1u);
+  EXPECT_EQ(net.metrics().datagrams_delivered, 3u);
+}
+
+TEST(Transport, DatagramsToAWaitingSocketAllocateOnlyTheirHeaders) {
+  // One datagram per simulated millisecond to a socket that is always
+  // already waiting. After 16 warm-up datagrams have grown the event heap,
+  // the callback storage and the in-flight table to their peak, each of
+  // 10,000 further datagrams makes exactly one heap allocation: its own
+  // header buffer. The transport itself allocates nothing.
+  Simulator sim;
+  Network net(sim, NetParams::unet(), 2);
+  auto a = net.open(0, 10);
+  auto b = net.open(1, 10);
+  constexpr int kWarmup = 16;
+  constexpr int kDatagrams = 10000;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  int intact = 0;
+  sim.spawn([](Socket& sock, int& ok) -> Co<void> {
+    for (std::uint32_t expect = 0;; ++expect) {
+      const Message m = co_await sock.recv();
+      Reader r(m.header);
+      if (r.u32() == expect && r.ok() && r.remaining() == 0) ++ok;
+    }
+  }(*b, intact));
+  sim.spawn([](Simulator& s, Socket& sock, std::uint64_t& bf,
+               std::uint64_t& af) -> Co<void> {
+    for (int i = 0; i < kWarmup + kDatagrams; ++i) {
+      if (i == kWarmup) bf = dodo::testing::allocation_count();
+      Buf h;
+      h.reserve(kHeaderReserve);
+      Writer(h).u32(static_cast<std::uint32_t>(i));
+      sock.send(Endpoint{1, 10}, std::move(h));
+      co_await s.sleep(1_ms);  // long enough for delivery
+    }
+    af = dodo::testing::allocation_count();
+  }(sim, *a, before, after));
+  sim.run();
+  EXPECT_EQ(intact, kWarmup + kDatagrams);
+  EXPECT_EQ(net.metrics().datagrams_delivered,
+            static_cast<std::uint64_t>(kWarmup + kDatagrams));
+  EXPECT_EQ(after - before, static_cast<std::uint64_t>(kDatagrams));
+}
+
+// --------------------------------------------------------------------------
+// Bulk protocol
+// --------------------------------------------------------------------------
 
 struct BulkFixtureResult {
   Status send_status;

@@ -1,11 +1,15 @@
 // Tests for the discrete-event simulator: event ordering, coroutine tasks,
-// channels, timeouts, wait groups.
+// channels, timeouts, wait groups, and the event loop's allocation-free
+// steady state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/units.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
@@ -254,6 +258,220 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(t1, t2);
   auto [b1, tb] = run_once(100);
   EXPECT_NE(a1, b1);
+}
+
+// --------------------------------------------------------------------------
+// Event-loop semantics the heap representation must preserve
+// --------------------------------------------------------------------------
+
+TEST(Simulator, ResumeCallbackAndTimerAtOneInstantFireInScheduleOrder) {
+  // The three event kinds (coroutine resume, generic callback, timeout) all
+  // target t = 10 ms; whatever order they were scheduled in is the order
+  // they fire in. Every permutation is checked.
+  std::vector<std::string> kinds = {"callback", "resume", "timer"};
+  do {
+    Simulator sim;
+    Channel<int> ch(sim);
+    std::vector<std::string> fired;
+    // Each kind schedules its 10 ms event from a t = 0 event of its own, so
+    // the t = 0 events (run in spawn/schedule order) fix the sequence.
+    for (const auto& kind : kinds) {
+      if (kind == "resume") {
+        sim.spawn([](Simulator& s, std::vector<std::string>& f) -> Co<void> {
+          co_await s.sleep_until(10_ms);
+          f.push_back("resume");
+        }(sim, fired));
+      } else if (kind == "callback") {
+        sim.schedule(0, [&sim, &fired] {
+          sim.schedule(10_ms, [&fired] { fired.push_back("callback"); });
+        });
+      } else {
+        sim.spawn([](Channel<int>& c, std::vector<std::string>& f) -> Co<void> {
+          const auto v = co_await c.recv_for(10_ms);
+          if (!v) f.push_back("timer");
+        }(ch, fired));
+      }
+    }
+    sim.run();
+    EXPECT_EQ(fired, kinds);
+    EXPECT_EQ(sim.now(), 10_ms);
+  } while (std::next_permutation(kinds.begin(), kinds.end()));
+}
+
+TEST(Channel, RewaitAfterTimeoutReusesTimerAndGetsLaterSend) {
+  // A's first recv_for times out at 5 ms and leaves its waiter behind as a
+  // corpse; A at once waits again on the same channel, whose timer takes
+  // the slot the first timer just released. The send at 20 ms must skip the
+  // corpse (its stale token must not disarm the reused slot) and reach the
+  // live wait.
+  Simulator sim;
+  Channel<int> ch(sim);
+  std::optional<int> first = 1;
+  std::optional<int> second;
+  SimTime second_at = -1;
+  sim.spawn([](Simulator& s, Channel<int>& c, std::optional<int>& f,
+               std::optional<int>& g, SimTime& at) -> Co<void> {
+    f = co_await c.recv_for(5_ms);
+    g = co_await c.recv_for(50_ms);
+    at = s.now();
+  }(sim, ch, first, second, second_at));
+  sim.schedule(20_ms, [&] { ch.send(9); });
+  sim.run();
+  EXPECT_FALSE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, 9);
+  EXPECT_EQ(second_at, 20_ms);
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(ch.pending_receivers(), 0u);
+  // The second wait's cancelled timer still pops at 5 + 50 ms.
+  EXPECT_EQ(sim.now(), 55_ms);
+}
+
+TEST(Channel, BeatenTimeoutStillCountsAsAnEvent) {
+  // Events: the receiver's start (0), the send (3 ms), the receiver's
+  // resume (3 ms), and the disarmed timer (10 ms), which pops and counts
+  // even though it resumes nothing.
+  auto build = [](Simulator& sim, Channel<int>& ch, std::optional<int>& got) {
+    sim.spawn([](Channel<int>& c, std::optional<int>& g) -> Co<void> {
+      g = co_await c.recv_for(10_ms);
+    }(ch, got));
+    sim.schedule(3_ms, [&ch] { ch.send(7); });
+  };
+  {
+    Simulator sim;
+    Channel<int> ch(sim);
+    std::optional<int> got;
+    build(sim, ch, got);
+    sim.run();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, 7);
+    EXPECT_EQ(sim.events_processed(), 4u);
+    EXPECT_EQ(sim.now(), 10_ms);
+  }
+  {
+    Simulator sim;
+    Channel<int> ch(sim);
+    std::optional<int> got;
+    build(sim, ch, got);
+    sim.set_event_limit(3);
+    sim.run();
+    EXPECT_TRUE(sim.event_limit_hit());
+    EXPECT_EQ(sim.events_processed(), 3u);
+    EXPECT_EQ(sim.now(), 3_ms);
+    EXPECT_TRUE(got.has_value());
+    sim.set_event_limit(4);
+    sim.run();
+    EXPECT_EQ(sim.events_processed(), 4u);
+    EXPECT_EQ(sim.now(), 10_ms);
+  }
+}
+
+TEST(Simulator, CallbackSchedulingThousandsWhileRunningSeesAllInOrder) {
+  // The outer callback schedules 3000 more while it runs, which grows the
+  // event heap and the callback storage many times over. Its own captured
+  // state must survive that (it was moved out before it ran), and the inner
+  // callbacks, half with captures too large for std::function's inline
+  // buffer, must all run in (time, schedule) order.
+  Simulator sim;
+  constexpr int kInner = 3000;
+  std::vector<int> order;
+  std::string outer_tag_after;
+  const std::string tag(64, 'x');
+  sim.schedule(1_ms, [&sim, &order, &outer_tag_after, tag] {
+    for (int i = 0; i < kInner; ++i) {
+      const SimTime at = sim.now() + (i < kInner / 2 ? 2_ms : 1_ms);
+      if (i % 2 == 0) {
+        sim.schedule(at, [&order, i] { order.push_back(i); });
+      } else {
+        std::array<std::int64_t, 8> big{};
+        big[7] = i;
+        sim.schedule(at, [&order, big] {
+          order.push_back(static_cast<int>(big[7]));
+        });
+      }
+    }
+    outer_tag_after = tag;
+  });
+  sim.run();
+  EXPECT_EQ(outer_tag_after, tag);
+  // Second half (1 ms later than the outer) first, each half in order.
+  std::vector<int> expected;
+  for (int i = kInner / 2; i < kInner; ++i) expected.push_back(i);
+  for (int i = 0; i < kInner / 2; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(kInner) + 1);
+}
+
+TEST(Channel, LargeBacklogDrainedInBurstsStaysFifo) {
+  // 1000 values queue up before anyone receives; the receiver drains 250
+  // per burst while a producer tops the queue up by 100 between bursts, so
+  // the queue's consumed prefix is compacted away under a live tail.
+  Simulator sim;
+  Channel<int> ch(sim);
+  int next = 0;
+  for (; next < 1000; ++next) ch.send(next);
+  for (int burst = 1; burst <= 5; ++burst) {
+    sim.schedule(millis(burst) - 1, [&] {
+      for (int k = 0; k < 100; ++k) ch.send(next++);
+    });
+  }
+  std::vector<int> got;
+  sim.spawn([](Simulator& s, Channel<int>& c, std::vector<int>& g) -> Co<void> {
+    for (int burst = 0; burst < 6; ++burst) {
+      for (int k = 0; k < 250; ++k) {
+        if (k % 2 == 0) {
+          g.push_back(co_await c.recv());
+        } else if (auto v = c.try_recv()) {
+          g.push_back(*v);
+        }
+      }
+      co_await s.sleep(1_ms);
+    }
+  }(sim, ch, got));
+  sim.run();
+  ASSERT_EQ(got.size(), 1500u);
+  for (int i = 0; i < 1500; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i) << "at " << i;
+    if (got[static_cast<std::size_t>(i)] != i) break;
+  }
+  EXPECT_TRUE(ch.empty());
+}
+
+// --------------------------------------------------------------------------
+// Allocation pin: the steady-state recv_for path allocates nothing
+// --------------------------------------------------------------------------
+
+TEST(Channel, RecvForRoundTripsAllocateNothingInSteadyState) {
+  // A client sends a ping and waits for the echo with a 10 ms timeout that
+  // the echo always beats, then sleeps 1 ms; about ten beaten timers are
+  // pending at any time. After 16 warm-up rounds have grown the event heap
+  // and the timer storage to that peak, 10,000 further round trips must
+  // make no heap allocation at all.
+  Simulator sim;
+  Channel<int> ping(sim);
+  Channel<int> pong(sim);
+  constexpr int kWarmup = 16;
+  constexpr int kRounds = 10000;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  int answered = 0;
+  sim.spawn([](Channel<int>& in, Channel<int>& out) -> Co<void> {
+    for (;;) out.send(co_await in.recv());
+  }(ping, pong));
+  sim.spawn([](Simulator& s, Channel<int>& out, Channel<int>& in,
+               std::uint64_t& b, std::uint64_t& a, int& ok) -> Co<void> {
+    for (int i = 0; i < kWarmup + kRounds; ++i) {
+      if (i == kWarmup) b = dodo::testing::allocation_count();
+      out.send(i);
+      const auto v = co_await in.recv_for(10_ms);
+      if (v && *v == i) ++ok;
+      co_await s.sleep(1_ms);
+    }
+    a = dodo::testing::allocation_count();
+  }(sim, ping, pong, before, after, answered));
+  sim.run();
+  EXPECT_EQ(answered, kWarmup + kRounds);
+  EXPECT_EQ(after - before, 0u);
 }
 
 }  // namespace
