@@ -1,12 +1,10 @@
-// Small-op throughput on the zero-copy batched data path (DESIGN.md §16):
-// 4 KiB reads driven through the submission/completion ring, swept across
-// the client's coalescing window {off, 16 KiB, 128 KiB} and ring depth
-// {1, 16, 64} on both transports. The unbatched baseline (window off,
-// depth 1) is the pre-ring build's behaviour — one RPC round trip per op —
-// and every other arm reports its ops/s speedup against it. Acceptance:
-// the coalesced deep-ring arm reaches >= 3x baseline ops/s on at least one
-// transport, with zero disk fallbacks and byte-identical data in every arm
-// (an order-independent FNV digest over each pass pins that down).
+// Small-op throughput through the submission/completion ring (DESIGN.md
+// §16): 4 KiB reads swept across ring depth {1, 16, 64} on both transports.
+// Depth 1 is the classic API's behaviour — one RPC round trip per op — and
+// every deeper arm reports its ops/s speedup against it. Acceptance: ring
+// depth >= 16 reaches >= 3x the depth-1 ops/s on UDP, with zero disk
+// fallbacks and byte-identical data in every arm (an order-independent FNV
+// digest over each pass pins that down).
 //
 // Runs with materialized bytes (not phantom) so the digest is real, and
 // with fixed (unscaled) sizes so the exported JSON is byte-identical per
@@ -38,17 +36,11 @@ std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p, std::size_t n) {
   return h;
 }
 
-const char* window_name(Bytes64 w) {
-  if (w == 0) return "off";
-  return w == 16_KiB ? "16k" : "128k";
-}
-
 void BM_SmallOps(benchmark::State& state) {
   const bool unet = state.range(0) != 0;
-  const Bytes64 window = state.range(1) == 0
-                             ? 0
-                             : (state.range(1) == 1 ? 16_KiB : 128_KiB);
-  const int depth = static_cast<int>(state.range(2));
+  const int depth = static_cast<int>(state.range(1));
+  const std::string label =
+      std::string(unet ? "unet" : "udp") + ".d" + std::to_string(depth);
 
   cluster::ClusterConfig cfg = dodo::bench::paper_config(
       /*use_dodo=*/true, unet, manage::Policy::kLru, 7);
@@ -57,19 +49,18 @@ void BM_SmallOps(benchmark::State& state) {
   cfg.local_cache = 1_MiB;
   cfg.page_cache_dodo = 512_KiB;
   cfg.materialize = true;  // real bytes: the digest must mean something
-  cfg.client.coalesce_window_bytes = window;
   // One routed hop between application and harvested hosts (identical in
   // every arm): small ops are round-trip-bound, which is exactly the cost
-  // the coalescing window and the ring amortize. On a zero-latency wire
-  // all arms converge on raw Fast-Ethernet bandwidth and the sweep would
-  // measure nothing but the 12.5 MB/s ceiling.
+  // a deeper ring amortizes. On a zero-latency wire all arms converge on
+  // raw Fast-Ethernet bandwidth and the sweep would measure nothing but the
+  // 12.5 MB/s ceiling.
   cfg.net.propagation = micros(100);
 
   auto& exporter = dodo::bench::json_exporter("smallops");
 
   double ops_per_s = 0;
   std::uint64_t digest = 0;
-  std::uint64_t coalesced = 0, flushes = 0, fallbacks = 0, sg_segments = 0;
+  std::uint64_t fallbacks = 0;
   for (auto _ : state) {
     cluster::Cluster c(cfg);
     const int fd = c.create_dataset("small", kRegion);
@@ -102,8 +93,8 @@ void BM_SmallOps(benchmark::State& state) {
         co_await ring.drain();
         while (ring.try_reap().has_value()) {
         }
-        // Order-independent: XOR of per-op digests, identical whatever the
-        // arm's batching did to transfer boundaries.
+        // Order-independent: XOR of per-op digests, identical whatever
+        // order the arm's ops completed in.
         for (Bytes64 off = 0; off < kRegion; off += kOp) {
           digest ^= fnv1a(1469598103934665603ULL,
                           got.data() + static_cast<std::ptrdiff_t>(off),
@@ -116,14 +107,7 @@ void BM_SmallOps(benchmark::State& state) {
     const double ops = static_cast<double>(kPasses) *
                        static_cast<double>(kRegion / kOp);
     ops_per_s = ops / to_seconds(read_phase);
-    const auto& m = c.dodo()->metrics();
-    coalesced = m.coalesced_mreads;
-    flushes = m.batch_flushes;
-    fallbacks = m.disk_fallbacks;
-    sg_segments = c.dodo()->bulk_stats().sg_segments.value();
-    const std::string label = std::string(unet ? "unet" : "udp") + ".w" +
-                              window_name(window) + ".d" +
-                              std::to_string(depth);
+    fallbacks = c.dodo()->metrics().disk_fallbacks;
     exporter.record_traces(c);
     exporter.record_timeline(c, label);
     exporter.absorb(c.metrics_snapshot());
@@ -144,41 +128,32 @@ void BM_SmallOps(benchmark::State& state) {
     return;
   }
 
-  // Baseline = (window off, depth 1) per transport, registered first so it
-  // always runs before the arms that report a speedup against it.
+  // Baseline = depth 1 per transport, registered first so it always runs
+  // before the arms that report a speedup against it.
   static double baseline[2] = {0, 0};
-  if (window == 0 && depth == 1) baseline[unet ? 1 : 0] = ops_per_s;
+  if (depth == 1) baseline[unet ? 1 : 0] = ops_per_s;
   const double base = baseline[unet ? 1 : 0];
   const double speedup = base > 0 ? ops_per_s / base : 0;
-  const std::string label = std::string(unet ? "unet" : "udp") + ".w" +
-                            window_name(window) + ".d" +
-                            std::to_string(depth);
-  if (!(window == 0 && depth == 1)) {
+  if (depth != 1) {
     exporter.set_milli("smallops." + label + ".speedup", speedup);
   }
 
   state.counters["ops_per_s"] = ops_per_s;
   state.counters["speedup"] = speedup;
-  state.counters["coalesced"] = static_cast<double>(coalesced);
 
   dodo::bench::print_header_once(
       "Small ops: 4 KiB reads through the ring (2 hosts, 256 KiB region)",
-      "transport  window  depth     ops/s   speedup  coalesced  flushes  "
-      "sg-segs  disk-fallbacks");
-  std::printf("%-10s %6s %6d %9.0f %9.2f %10llu %8llu %8llu %15llu\n",
-              unet ? "unet" : "udp", window_name(window), depth, ops_per_s,
-              speedup, static_cast<unsigned long long>(coalesced),
-              static_cast<unsigned long long>(flushes),
-              static_cast<unsigned long long>(sg_segments),
-              static_cast<unsigned long long>(fallbacks));
+      "transport  depth     ops/s   speedup  disk-fallbacks");
+  std::printf("%-10s %5d %9.0f %9.2f %15llu\n", unet ? "unet" : "udp", depth,
+              ops_per_s, speedup, static_cast<unsigned long long>(fallbacks));
   std::fflush(stdout);
 }
 
 }  // namespace
 
-// Baseline (w=off, d=1) first per transport, then the sweep.
+// Baseline (depth 1) first per transport, then the deeper rings.
 BENCHMARK(BM_SmallOps)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}, {1, 16, 64}})
+    ->ArgsProduct({{0, 1}, {1, 16, 64}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -88,8 +88,8 @@ sim::Co<void> LoadGenerator::session(int client, int slot) {
     const SimTime t_read = sim.now();
     bool read_ok;
     if (cfg_.ring_depth > 0) {
-      // Ring mode: split the read into ring_op-sized submissions and reap
-      // completions in bulk — no coroutine per op on the coalesced path.
+      // Ring mode: split the read into ring_op-sized submissions, keep up
+      // to ring_depth of them in flight, and reap the completions in bulk.
       runtime::DodoRing ring(sim, cl,
                              static_cast<std::size_t>(cfg_.ring_depth));
       const Bytes64 step = std::max<Bytes64>(1, cfg_.ring_op);

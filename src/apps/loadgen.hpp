@@ -40,9 +40,8 @@ struct LoadgenConfig {
   std::uint64_t seed = 1;       // arrival/selection stream seed
   /// Ring mode (DESIGN.md §16): when > 0 each session drives its read phase
   /// through a DodoRing of this depth, splitting read_len into ring_op-sized
-  /// submissions (which the client coalesces when its window allows). 0
-  /// keeps the classic single-mread session, byte-identical to pre-ring
-  /// builds.
+  /// submissions that run up to ring_depth at a time. 0 keeps the classic
+  /// single-mread session, byte-identical to pre-ring builds.
   int ring_depth = 0;
   Bytes64 ring_op = 4_KiB;      // per-submission size in ring mode
 };

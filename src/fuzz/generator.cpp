@@ -60,9 +60,9 @@ Schedule generate_schedule(std::uint64_t seed, const GenParams& params) {
   // crashes and evicts of lease-holding hosts come free from that machinery.
   Rng lease_rng = Rng(seed).fork(0x6c656173);  // "leas"
   s.lease = lease_rng.below(100) < 25;
-  // ~25% of schedules run the batched data path: kRead ops go through a
-  // submission/completion ring against a coalescing client (a fresh stream
-  // again, so unbatched schedules keep their exact pre-batching draws).
+  // ~25% of schedules issue kRead ops through a submission/completion ring
+  // (a fresh stream again, so ring-off schedules keep their exact pre-ring
+  // draws).
   Rng batch_rng = Rng(seed).fork(0x62746368);  // "btch"
   s.batch = batch_rng.below(100) < 25;
   s.region = 16_KiB << cfg_rng.below(2);

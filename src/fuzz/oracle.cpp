@@ -110,27 +110,6 @@ std::string check_conservation(cluster::Cluster& cluster) {
                static_cast<unsigned long long>(m.mreads_degraded),
                static_cast<unsigned long long>(m.disk_fallbacks));
   }
-  // Batched-path conservation: every op that joined a batch is an mread,
-  // only multi-op batches count as coalesced, and flushes never outnumber
-  // the ops that could have triggered them.
-  if (m.batched_reads > m.mreads_total) {
-    return fmt("metric-conservation",
-               "batched reads %llu exceed mreads %llu",
-               static_cast<unsigned long long>(m.batched_reads),
-               static_cast<unsigned long long>(m.mreads_total));
-  }
-  if (m.coalesced_mreads > m.batched_reads) {
-    return fmt("metric-conservation",
-               "coalesced mreads %llu exceed batched reads %llu",
-               static_cast<unsigned long long>(m.coalesced_mreads),
-               static_cast<unsigned long long>(m.batched_reads));
-  }
-  if (m.batch_flushes > m.batched_reads) {
-    return fmt("metric-conservation",
-               "batch flushes %llu exceed batched reads %llu",
-               static_cast<unsigned long long>(m.batch_flushes),
-               static_cast<unsigned long long>(m.batched_reads));
-  }
   // Ring conservation holds at quiesce: every submitted op completed (a
   // drained ring holds nothing in flight).
   if (m.ring_submitted != m.ring_completed) {

@@ -72,13 +72,6 @@ RunResult run_schedule(const Schedule& s, const RunOptions& opt) {
   cfg.client.refraction = millis(50);
   cfg.client.bulk.max_retries = 30;
   cfg.imd.reply_cache_capacity = s.imd_reply_cache_capacity;
-  if (s.batch) {
-    // Batched data path: a window the size of one region lets the four
-    // quarter-region ring reads below coalesce into a single bulk transfer;
-    // the short timer flushes partial batches that a fault interrupted.
-    cfg.client.coalesce_window_bytes = s.region;
-    cfg.client.coalesce_window = millis(2);
-  }
   cfg.imd.buggy_clear_all_reply_cache = opt.buggy_imd_reply_cache;
   // Lease schedules: grace spans three 500ms keep-alive ticks so a
   // near-expiry proactive copy can finish its write-only/ack/activate
@@ -133,7 +126,7 @@ RunResult run_schedule(const Schedule& s, const RunOptions& opt) {
     auto* client = cl.dodo();
     std::vector<std::uint8_t> buf(rsz);
     std::vector<std::uint8_t> back(rsz);
-    // Batched schedules drive every read through one ring for the whole
+    // Ring schedules drive every read through one ring for the whole
     // workload, so submitted/completed conservation spans fault windows.
     std::optional<runtime::DodoRing> ring;
     if (s.batch) ring.emplace(cl.sim(), *client, 8);
@@ -219,9 +212,8 @@ RunResult run_schedule(const Schedule& s, const RunOptions& opt) {
           if (!sl.open) break;
           runtime::DodoClient::ReadResult rr;
           if (s.batch) {
-            // Four adjacent quarter-region submissions: the coalescing
-            // window (= region) merges them into one bulk transfer, and the
-            // CQEs reassemble the same ReadResult the one-shot path returns.
+            // Four quarter-region submissions in flight at once; the CQEs
+            // reassemble the same ReadResult the one-shot path returns.
             const Bytes64 q = s.region / 4;
             for (std::uint64_t i = 0; i < 4; ++i) {
               runtime::Sqe sqe;

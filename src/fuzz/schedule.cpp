@@ -141,7 +141,8 @@ bool Schedule::parse(const std::string& text, Schedule& out,
       if (!(ls >> v) || v < 0 || v > 1) return fail(lineno, "bad lease");
       s.lease = v != 0;
     } else if (key == "batch") {
-      // Optional (pre-batching schedules omit it); absent means unbatched.
+      // Optional (schedules saved before the ring dimension omit it);
+      // absent means no ring.
       int v = 0;
       if (!(ls >> v) || v < 0 || v > 1) return fail(lineno, "bad batch");
       s.batch = v != 0;

@@ -57,9 +57,10 @@ struct Schedule {
   /// leases, the cmd renews them each keepalive tick, and kHostPressure
   /// fault events drive graded incremental reclamation.
   bool lease = false;
-  /// Batched data path (DESIGN.md §16): clients coalesce adjacent mreads
-  /// within a region-sized window and kRead ops issue through a
-  /// submission/completion ring instead of one awaited mread.
+  /// Ring reads (DESIGN.md §16): each kRead issues four quarter-region
+  /// reads through a depth-8 submission/completion ring instead of one
+  /// awaited mread. The key keeps its historical name so saved schedules
+  /// replay unchanged.
   bool batch = false;
   std::size_t imd_reply_cache_capacity = 64;
   std::uint64_t seed = 1;          // simulator/cluster seed

@@ -250,7 +250,6 @@ sim::Co<bool> RegionManager::fault_in(int cd, Region& r,
   r.resident = true;
   by_recency_.emplace(r.last_access, cd);
   r.dirty = false;
-  r.admitted_at = ++access_clock_;
   resident_bytes_ += r.len;
   co_return true;
 }

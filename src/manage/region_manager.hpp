@@ -136,7 +136,6 @@ class RegionManager {
     int rdesc = -1;        // libdodo descriptor, -1 if never cloned
     bool remote_valid = false;  // remote copy matches current content
     std::uint64_t last_access = 0;
-    std::uint64_t admitted_at = 0;
   };
 
   Region* lookup(int cd);

@@ -108,62 +108,6 @@ Bytes64 chunk_capacity(const NetParams& p) {
   return c;
 }
 
-/// Landing state for one scatter-gather receive: maps the transfer's logical
-/// byte stream onto the caller's segment list and tracks, per segment, how
-/// many logical bytes are still missing. Chunks are deduplicated by the
-/// caller (have[seq]), so each logical byte is landed exactly once and
-/// `remaining` hitting zero is a one-shot completion edge per segment.
-struct Scatter {
-  std::vector<ScatterSeg> segs;
-  std::vector<std::uint8_t>* seg_done = nullptr;
-  std::vector<Bytes64> start;      // logical start offset per segment
-  std::vector<Bytes64> remaining;  // logical bytes not yet landed
-
-  void init() {
-    Bytes64 off = 0;
-    start.resize(segs.size());
-    remaining.resize(segs.size());
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      start[i] = off;
-      remaining[i] = segs[i].size;
-      off += segs[i].size;
-    }
-    if (seg_done != nullptr) seg_done->assign(segs.size(), 0);
-  }
-
-  /// Lands one newly accepted chunk covering logical [off, off+len). The
-  /// payload's materialized bytes (possibly none, for phantom bodies) are
-  /// copied straight into each overlapping segment; completion is tracked
-  /// logically either way. Returns how many segments became complete.
-  std::uint64_t land(Bytes64 off, Bytes64 len, const Message& msg) {
-    std::uint64_t completed = 0;
-    const bool phantom = msg.phantom_body();
-    const auto avail = static_cast<Bytes64>(msg.body.size());
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      const Bytes64 s_lo = start[i];
-      const Bytes64 s_hi = s_lo + segs[i].size;
-      const Bytes64 lo = std::max(off, s_lo);
-      const Bytes64 hi = std::min(off + len, s_hi);
-      if (lo >= hi) continue;
-      if (!phantom && segs[i].data != nullptr) {
-        const Bytes64 p_lo = lo - off;  // offset within the chunk payload
-        if (p_lo < avail) {
-          const Bytes64 n = std::min(hi - lo, avail - p_lo);
-          std::copy_n(msg.body.begin() + static_cast<std::ptrdiff_t>(p_lo),
-                      static_cast<std::size_t>(n),
-                      segs[i].data + (lo - s_lo));
-        }
-      }
-      remaining[i] -= hi - lo;
-      if (remaining[i] == 0) {
-        ++completed;
-        if (seg_done != nullptr) (*seg_done)[i] = 1;
-      }
-    }
-    return completed;
-  }
-};
-
 /// Manual span handle for bulk_recv, where the span may only be opened once
 /// the first datagram reveals the sender's trace context, and must close on
 /// every co_return path (RAII over the coroutine frame).
@@ -205,12 +149,6 @@ void BulkStats::export_into(obs::MetricsSnapshot& out,
   out.set_counter(prefix + "nacks_sent", nacks_sent.value());
   out.set_counter(prefix + "window_clamps", window_clamps.value());
   out.set_counter(prefix + "bytes_received", bytes_received.value());
-  // Gated: endpoints that never scatter keep the pre-SG key set so their
-  // exported JSON stays byte-identical per seed.
-  if (sg_recvs.value() > 0 || sg_segments.value() > 0) {
-    out.set_counter(prefix + "sg_recvs", sg_recvs.value());
-    out.set_counter(prefix + "sg_segments", sg_segments.value());
-  }
 }
 
 sim::Co<Status> bulk_send(Socket& sock, Endpoint dst, std::uint64_t xfer_id,
@@ -378,15 +316,8 @@ sim::Co<Status> bulk_send(Socket& sock, Endpoint dst, std::uint64_t xfer_id,
   co_return Status::ok();
 }
 
-namespace {
-
-/// Shared receive loop for bulk_recv and bulk_recv_sg: `sg == nullptr`
-/// materializes the transfer into result.data (the classic path, byte for
-/// byte unchanged); otherwise chunks land straight into the scatter
-/// segments. Everything the wire can observe is common code.
-sim::Co<BulkRecvResult> bulk_recv_impl(Socket& sock, std::uint64_t xfer_id,
-                                       BulkParams params,
-                                       obs::TraceContext ctx, Scatter* sg) {
+sim::Co<BulkRecvResult> bulk_recv(Socket& sock, std::uint64_t xfer_id,
+                                  BulkParams params, obs::TraceContext ctx) {
   auto& net = sock.network();
   const Bytes64 chunk = chunk_capacity(net.params());
 
@@ -537,12 +468,7 @@ sim::Co<BulkRecvResult> bulk_recv_impl(Socket& sock, std::uint64_t xfer_id,
             st->bytes_received.inc(
                 static_cast<std::uint64_t>(d.chunk_len > 0 ? d.chunk_len : 0));
           }
-          if (sg != nullptr) {
-            if (msg->phantom_body()) materialized = false;
-            const Bytes64 len = std::min(d.chunk_len, total - d.offset);
-            const std::uint64_t done = sg->land(d.offset, len, *msg);
-            if (st != nullptr) st->sg_segments.inc(done);
-          } else if (msg->phantom_body()) {
+          if (msg->phantom_body()) {
             materialized = false;
           } else if (materialized && total > 0) {
             const auto off = static_cast<std::size_t>(d.offset);
@@ -574,25 +500,6 @@ sim::Co<BulkRecvResult> bulk_recv_impl(Socket& sock, std::uint64_t xfer_id,
         break;
     }
   }
-}
-
-}  // namespace
-
-sim::Co<BulkRecvResult> bulk_recv(Socket& sock, std::uint64_t xfer_id,
-                                  BulkParams params, obs::TraceContext ctx) {
-  co_return co_await bulk_recv_impl(sock, xfer_id, params, ctx, nullptr);
-}
-
-sim::Co<BulkRecvResult> bulk_recv_sg(Socket& sock, std::uint64_t xfer_id,
-                                     std::vector<ScatterSeg> segs,
-                                     std::vector<std::uint8_t>* seg_done,
-                                     BulkParams params, obs::TraceContext ctx) {
-  Scatter sg;
-  sg.segs = std::move(segs);
-  sg.seg_done = seg_done;
-  sg.init();
-  if (params.stats != nullptr) params.stats->sg_recvs.inc();
-  co_return co_await bulk_recv_impl(sock, xfer_id, params, ctx, &sg);
 }
 
 }  // namespace dodo::net

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
@@ -49,11 +48,6 @@ struct BulkStats {
   obs::Counter nacks_sent;
   obs::Counter window_clamps;  // window_bytes < one chunk, renegotiated up
   obs::Counter bytes_received;
-  // Scatter-gather receives (the zero-copy batched data path). Exported
-  // only when nonzero so endpoints that never scatter keep their snapshot
-  // key set — and their exported JSON — byte-identical to pre-SG builds.
-  obs::Counter sg_recvs;     // bulk_recv_sg calls started
-  obs::Counter sg_segments;  // landing segments fully filled in place
 
   /// Exports every counter into `out` under `prefix` (e.g. "imd.bulk.").
   void export_into(obs::MetricsSnapshot& out, const std::string& prefix) const;
@@ -107,30 +101,5 @@ sim::Co<Status> bulk_send(Socket& sock, Endpoint dst, std::uint64_t xfer_id,
 sim::Co<BulkRecvResult> bulk_recv(Socket& sock, std::uint64_t xfer_id,
                                   BulkParams params = {},
                                   obs::TraceContext ctx = {});
-
-/// One landing segment of a scatter-gather receive. The transfer's logical
-/// byte stream maps across the segment list in order: segment k covers
-/// logical offsets [sum(size_0..k-1), sum(size_0..k)). `data == nullptr`
-/// discards that range — the receive-side analogue of a phantom body.
-struct ScatterSeg {
-  std::uint8_t* data = nullptr;
-  Bytes64 size = 0;
-};
-
-/// bulk_recv variant that lands chunk payloads directly in the caller's
-/// buffers with zero intermediate copies. Wire behaviour (credit grants,
-/// ACK/NACK cadence, gap deadlines) is identical to bulk_recv — only the
-/// landing differs, so a capture of the datagram stream cannot tell the two
-/// apart. Bytes beyond sum(segs[i].size) are discarded. `seg_done`, when
-/// non-null, is reset to segs.size() zeros and each entry set to 1 the
-/// moment that segment's full byte range has arrived — the per-segment
-/// completion hook fragment-granular degradation builds on. On success
-/// `result.data` stays empty (the bytes are already in place) and
-/// `result.size` reports the logical transfer size.
-sim::Co<BulkRecvResult> bulk_recv_sg(Socket& sock, std::uint64_t xfer_id,
-                                     std::vector<ScatterSeg> segs,
-                                     std::vector<std::uint8_t>* seg_done,
-                                     BulkParams params = {},
-                                     obs::TraceContext ctx = {});
 
 }  // namespace dodo::net

@@ -428,49 +428,4 @@ bool MetricsSnapshot::from_json(const std::string& text, MetricsSnapshot& out,
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------------
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  Cell& c = cells_[name];
-  c.type = MetricValue::Type::kCounter;
-  return c.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  Cell& c = cells_[name];
-  c.type = MetricValue::Type::kGauge;
-  return c.gauge;
-}
-
-LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
-  Cell& c = cells_[name];
-  c.type = MetricValue::Type::kHistogram;
-  if (c.hist == nullptr) c.hist = std::make_unique<LatencyHistogram>();
-  return *c.hist;
-}
-
-void MetricsRegistry::absorb(const MetricsSnapshot& s) { absorbed_.merge(s); }
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out = absorbed_;
-  MetricsSnapshot own;
-  for (const auto& [name, c] : cells_) {
-    switch (c.type) {
-      case MetricValue::Type::kCounter:
-        own.set_counter(name, c.counter.value());
-        break;
-      case MetricValue::Type::kGauge:
-        own.set_gauge(name, c.gauge.value());
-        break;
-      case MetricValue::Type::kHistogram:
-        own.set_histogram(name, *c.hist);
-        break;
-    }
-  }
-  out.merge(own);
-  return out;
-}
-
 }  // namespace dodo::obs

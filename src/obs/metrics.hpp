@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -163,33 +162,6 @@ class MetricsSnapshot {
 
  private:
   std::map<std::string, MetricValue> values_;
-};
-
-/// Named live metrics plus absorbed external snapshots; the bench binaries
-/// use one of these to gather their scalars and every component's export
-/// into a single deterministic JSON blob.
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  LatencyHistogram& histogram(const std::string& name);
-
-  /// Merges an externally built snapshot into the registry's export.
-  void absorb(const MetricsSnapshot& s);
-
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-  [[nodiscard]] std::string to_json() const { return snapshot().to_json(); }
-
- private:
-  struct Cell {
-    MetricValue::Type type = MetricValue::Type::kCounter;
-    Counter counter;
-    Gauge gauge;
-    std::unique_ptr<LatencyHistogram> hist;
-  };
-
-  std::map<std::string, Cell> cells_;
-  MetricsSnapshot absorbed_;
 };
 
 }  // namespace dodo::obs

@@ -165,45 +165,6 @@ net::Buf header(Kind kind, std::uint64_t xfer) {
   return h;
 }
 
-/// Scatter landing state; mirrors the simulated receiver's (net/bulk.cpp).
-/// Chunks are deduplicated by the caller, so each logical byte lands once
-/// and `remaining` hitting zero is a one-shot completion edge per segment.
-struct RtScatter {
-  std::vector<RtScatterSeg> segs;
-  std::vector<std::uint8_t>* seg_done = nullptr;
-  std::vector<std::size_t> start;
-  std::vector<std::size_t> remaining;
-
-  void init() {
-    std::size_t off = 0;
-    start.resize(segs.size());
-    remaining.resize(segs.size());
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      start[i] = off;
-      remaining[i] = segs[i].size;
-      off += segs[i].size;
-    }
-    if (seg_done != nullptr) seg_done->assign(segs.size(), 0);
-  }
-
-  void land(std::size_t off, const std::vector<std::uint8_t>& payload) {
-    const std::size_t len = payload.size();
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      const std::size_t s_lo = start[i];
-      const std::size_t s_hi = s_lo + segs[i].size;
-      const std::size_t lo = std::max(off, s_lo);
-      const std::size_t hi = std::min(off + len, s_hi);
-      if (lo >= hi) continue;
-      if (segs[i].data != nullptr) {
-        std::copy_n(payload.begin() + static_cast<std::ptrdiff_t>(lo - off),
-                    hi - lo, segs[i].data + (lo - s_lo));
-      }
-      remaining[i] -= hi - lo;
-      if (remaining[i] == 0 && seg_done != nullptr) (*seg_done)[i] = 1;
-    }
-  }
-};
-
 }  // namespace
 
 Status rt_bulk_send(UdpSocket& sock, std::uint16_t dst_port,
@@ -287,13 +248,8 @@ Status rt_bulk_send(UdpSocket& sock, std::uint16_t dst_port,
   return Status::ok();
 }
 
-namespace {
-
-/// Shared receive loop for rt_bulk_recv and rt_bulk_recv_sg: sg == nullptr
-/// materializes into result.data, otherwise chunks land straight into the
-/// scatter segments. Everything the wire can observe is common code.
-RtBulkResult rt_bulk_recv_impl(UdpSocket& sock, std::uint64_t xfer_id,
-                               const RtBulkParams& params, RtScatter* sg) {
+RtBulkResult rt_bulk_recv(UdpSocket& sock, std::uint64_t xfer_id,
+                          const RtBulkParams& params) {
   RtBulkResult result;
   const std::size_t chunk = params.chunk;
   std::int64_t total = -1;
@@ -367,9 +323,7 @@ RtBulkResult rt_bulk_recv_impl(UdpSocket& sock, std::uint64_t xfer_id,
         nchunks = std::max<std::uint64_t>(
             1, (static_cast<std::uint64_t>(total) + chunk - 1) / chunk);
         have.assign(nchunks, false);
-        if (sg == nullptr) {
-          result.data.assign(static_cast<std::size_t>(total), 0);
-        }
+        result.data.assign(static_cast<std::size_t>(total), 0);
         start_round();
       }
       idle = 0;
@@ -383,9 +337,7 @@ RtBulkResult rt_bulk_recv_impl(UdpSocket& sock, std::uint64_t xfer_id,
         total = d.total_len;
         nchunks = std::max<std::uint64_t>(1, d.nchunks);
         have.assign(nchunks, false);
-        if (sg == nullptr) {
-          result.data.assign(static_cast<std::size_t>(total), 0);
-        }
+        result.data.assign(static_cast<std::size_t>(total), 0);
         start_round();
       }
       if (d.seq >= nchunks) continue;
@@ -401,18 +353,13 @@ RtBulkResult rt_bulk_recv_impl(UdpSocket& sock, std::uint64_t xfer_id,
         armed_at = Clock::now();
         have[d.seq] = true;
         const std::size_t off = static_cast<std::size_t>(d.seq) * chunk;
-        if (sg != nullptr) {
-          sg->land(off, d.payload);
-        } else {
-          std::copy(d.payload.begin(), d.payload.end(),
-                    result.data.begin() + static_cast<std::ptrdiff_t>(off));
-        }
+        std::copy(d.payload.begin(), d.payload.end(),
+                  result.data.begin() + static_cast<std::ptrdiff_t>(off));
       }
       if (round_complete()) {
         base = round_end;
         send_ack();
         if (base >= nchunks) {
-          result.size = total < 0 ? 0 : static_cast<std::size_t>(total);
           result.status = Status::ok();
           return result;
         }
@@ -420,24 +367,6 @@ RtBulkResult rt_bulk_recv_impl(UdpSocket& sock, std::uint64_t xfer_id,
       }
     }
   }
-}
-
-}  // namespace
-
-RtBulkResult rt_bulk_recv(UdpSocket& sock, std::uint64_t xfer_id,
-                          const RtBulkParams& params) {
-  return rt_bulk_recv_impl(sock, xfer_id, params, nullptr);
-}
-
-RtBulkResult rt_bulk_recv_sg(UdpSocket& sock, std::uint64_t xfer_id,
-                             std::vector<RtScatterSeg> segs,
-                             std::vector<std::uint8_t>* seg_done,
-                             const RtBulkParams& params) {
-  RtScatter sg;
-  sg.segs = std::move(segs);
-  sg.seg_done = seg_done;
-  sg.init();
-  return rt_bulk_recv_impl(sock, xfer_id, params, &sg);
 }
 
 }  // namespace dodo::rtnet

@@ -75,30 +75,10 @@ Status rt_bulk_send(UdpSocket& sock, std::uint16_t dst_port,
 
 struct RtBulkResult {
   Status status;
-  std::vector<std::uint8_t> data;  // empty on the scatter-gather path
-  std::size_t size = 0;            // logical bytes transferred
+  std::vector<std::uint8_t> data;
 };
 
 RtBulkResult rt_bulk_recv(UdpSocket& sock, std::uint64_t xfer_id,
                           const RtBulkParams& params = {});
-
-/// One landing segment of a scatter-gather receive; the real-socket mirror
-/// of net::ScatterSeg. Segment k covers logical offsets
-/// [sum(size_0..k-1), sum(size_0..k)); data == nullptr discards the range.
-struct RtScatterSeg {
-  std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-};
-
-/// rt_bulk_recv variant that lands chunk payloads directly in the caller's
-/// buffers — zero intermediate copies on the real-socket path too. Wire
-/// behaviour is identical to rt_bulk_recv. `seg_done`, when non-null, is
-/// reset to segs.size() zeros and each entry set to 1 once that segment's
-/// full byte range has arrived (per-segment completion). `result.data`
-/// stays empty; `result.size` reports the logical transfer size.
-RtBulkResult rt_bulk_recv_sg(UdpSocket& sock, std::uint64_t xfer_id,
-                             std::vector<RtScatterSeg> segs,
-                             std::vector<std::uint8_t>* seg_done,
-                             const RtBulkParams& params = {});
 
 }  // namespace dodo::rtnet

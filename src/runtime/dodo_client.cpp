@@ -396,8 +396,7 @@ sim::Co<Bytes64> DodoClient::mread(int rd, Bytes64 offset, std::uint8_t* buf,
 
 sim::Co<void> DodoClient::read_piece(
     core::ReplicaSet set, Bytes64 frag_off, Bytes64 want, std::uint8_t* dst,
-    FragOutcome* out, sim::WaitGroup* wg, obs::TraceContext ctx,
-    const std::vector<net::ScatterSeg>* scatter) {
+    FragOutcome* out, sim::WaitGroup* wg, obs::TraceContext ctx) {
   // Replica selection: power-of-two-choices over host_score() — two random
   // distinct copies, read from the one whose host looks faster/less loaded.
   // The losers stay in line: a failed attempt fails over to the remaining
@@ -444,23 +443,13 @@ sim::Co<void> DodoClient::read_piece(
       const Bytes64 avail = r.i64();
       filled = r.u8() != 0;
       if (r.ok() && code == Err::kOk && avail == want) {
-        if (scatter != nullptr) {
-          // Zero-copy landing: chunks scatter straight into the callers'
-          // buffers. A failed attempt may leave partial bytes behind; the
-          // sibling retry (or the caller's disk fallback) overwrites the
-          // full range, so nothing torn ever escapes.
-          auto got = co_await net::bulk_recv_sg(*sock, rid, *scatter,
-                                                nullptr, params_.bulk, ctx);
-          ok = got.status.is_ok() && got.size == want;
-        } else {
-          auto got = co_await net::bulk_recv(*sock, rid, params_.bulk, ctx);
-          if (got.status.is_ok() && got.size == want) {
-            if (dst != nullptr && !got.data.empty()) {
-              std::copy_n(got.data.begin(), static_cast<std::size_t>(want),
-                          dst);
-            }
-            ok = true;
+        auto got = co_await net::bulk_recv(*sock, rid, params_.bulk, ctx);
+        if (got.status.is_ok() && got.size == want) {
+          if (dst != nullptr && !got.data.empty()) {
+            std::copy_n(got.data.begin(), static_cast<std::size_t>(want),
+                        dst);
           }
+          ok = true;
         }
       } else if (r.ok()) {
         out->err = code == Err::kOk ? Err::kNotFound : code;
@@ -495,12 +484,6 @@ sim::Co<DodoClient::ReadResult> DodoClient::mread_ex(int rd, Bytes64 offset,
                                                      std::uint8_t* buf,
                                                      Bytes64 len,
                                                      obs::TraceContext parent) {
-  if (coalescing_enabled()) {
-    // Batched data path (DESIGN.md §16). With the window at 0 this branch
-    // is never taken and everything below stays byte-identical on the wire
-    // to pre-batching builds.
-    co_return co_await mread_coalesced(rd, offset, buf, len, parent);
-  }
   Entry* e = lookup_active(rd);
   if (e == nullptr) {
     // A real read attempt that degrades to disk: the caller will fall back.
@@ -617,286 +600,6 @@ sim::Co<DodoClient::ReadResult> DodoClient::mread_ex(int rd, Bytes64 offset,
   co_return res;
 }
 
-// -- request coalescing (DESIGN.md §16) -------------------------------------
-
-sim::Co<DodoClient::ReadResult> DodoClient::mread_coalesced(
-    int rd, Bytes64 offset, std::uint8_t* buf, Bytes64 len,
-    obs::TraceContext parent) {
-  auto slot = std::make_shared<ReadResult>();
-  sim::WaitGroup wg(sim_);
-  wg.add(1);
-  // The callback may fire synchronously (validation failures) or from the
-  // flush coroutine; either way `wg` outlives it — this frame stays alive
-  // until the wait below resolves.
-  mread_enqueue(
-      rd, offset, buf, len,
-      [slot, &wg](const ReadResult& r) {
-        *slot = r;
-        wg.done();
-      },
-      parent);
-  co_await wg.wait();
-  co_return *slot;
-}
-
-void DodoClient::mread_enqueue(int rd, Bytes64 offset, std::uint8_t* buf,
-                               Bytes64 len,
-                               std::function<void(const ReadResult&)>
-                                   on_complete,
-                               obs::TraceContext parent) {
-  assert(coalescing_enabled());
-  // Validation mirrors mread_ex exactly, including the conservation
-  // accounting for an inactive descriptor.
-  Entry* e = lookup_active(rd);
-  if (e == nullptr) {
-    ++metrics_.mreads_total;
-    ++metrics_.mreads_degraded;
-    ++metrics_.disk_fallbacks;
-    obs::frecord(params_.flight, obs::FlightEventType::kDiskFallback,
-                 static_cast<std::int64_t>(rd), len);
-    dodo_errno() = kDodoENOMEM;
-    on_complete(ReadResult{});
-    return;
-  }
-  if (offset < 0 || offset >= e->len || len < 0) {
-    dodo_errno() = kDodoEINVAL;
-    on_complete(ReadResult{});
-    return;
-  }
-  if (len == 0) {
-    ReadResult zero;
-    zero.n = 0;
-    zero.filled = true;
-    on_complete(zero);
-    return;
-  }
-  const Bytes64 n = std::min(len, e->len - offset);
-  ++metrics_.mreads_total;
-  ++metrics_.batched_reads;
-
-  std::shared_ptr<ReadBatch> b;
-  if (auto it = pending_batches_.find(rd); it != pending_batches_.end()) {
-    b = it->second;
-    // Only strictly forward-adjacent ops join (the dmine scan / lu slab
-    // shape); a seek, overlap, or window overflow flushes the open batch
-    // and this op starts a fresh one.
-    const bool adjacent = offset == b->hi;
-    const bool fits = offset + n - b->lo <= params_.coalesce_window_bytes;
-    if (!adjacent || !fits) {
-      start_flush(b);
-      b = nullptr;
-    }
-  }
-  if (b == nullptr) {
-    b = std::make_shared<ReadBatch>(sim_);
-    b->rd = rd;
-    b->lo = offset;
-    b->hi = offset;
-    if (params_.spans != nullptr) {
-      b->span = params_.spans->begin("client.mread_batch", parent);
-      b->span_ctx = obs::TraceContext{
-          parent.trace_id != 0 ? parent.trace_id : b->span, b->span};
-    }
-    pending_batches_[rd] = b;
-    sim_.spawn(batch_timer(b));
-  }
-  PendingOp op;
-  op.offset = offset;
-  op.len = n;
-  op.buf = buf;
-  op.enqueued = sim_.now();
-  op.on_complete = std::move(on_complete);
-  if (params_.spans != nullptr) {
-    // One client.mread span per ring/batched op, nested under the batch
-    // span so the merged transfer's critical path attributes to every op.
-    op.span = params_.spans->begin("client.mread", b->span_ctx);
-  }
-  b->ops.push_back(std::move(op));
-  b->hi = offset + n;
-  if (b->hi - b->lo >= params_.coalesce_window_bytes) start_flush(b);
-}
-
-void DodoClient::start_flush(const std::shared_ptr<ReadBatch>& b) {
-  if (b->flushed) return;
-  b->flushed = true;
-  if (auto it = pending_batches_.find(b->rd);
-      it != pending_batches_.end() && it->second == b) {
-    pending_batches_.erase(it);
-  }
-  sim_.spawn(run_flush(b));
-}
-
-sim::Co<void> DodoClient::batch_timer(std::shared_ptr<ReadBatch> b) {
-  co_await sim_.sleep(params_.coalesce_window);
-  start_flush(b);  // no-op when the batch already flushed (full / barrier)
-}
-
-sim::Co<void> DodoClient::flush_pending_reads(int rd) {
-  auto it = pending_batches_.find(rd);
-  if (it == pending_batches_.end()) co_return;
-  std::shared_ptr<ReadBatch> b = it->second;
-  ++metrics_.batch_write_barriers;
-  start_flush(b);
-  co_await b->done.wait();
-}
-
-sim::Co<void> DodoClient::run_flush(std::shared_ptr<ReadBatch> b) {
-  ++metrics_.batch_flushes;
-  if (b->ops.size() >= 2) metrics_.coalesced_mreads += b->ops.size();
-  const int rd = b->rd;
-  Entry* e = lookup_active(rd);
-  if (e == nullptr) {
-    // The descriptor died between enqueue and flush (pruned host, replica
-    // drop, failed write): every queued op degrades exactly like an
-    // inactive-descriptor mread. mreads_total already counted at enqueue.
-    for (PendingOp& op : b->ops) {
-      ++metrics_.mreads_degraded;
-      ++metrics_.disk_fallbacks;
-      obs::frecord(params_.flight, obs::FlightEventType::kDiskFallback,
-                   static_cast<std::int64_t>(rd), op.len);
-      dodo_errno() = kDodoENOMEM;
-      op.result = ReadResult{};
-    }
-    finish_batch(*b);
-    co_return;
-  }
-  // Copy every field needed below out of the entry BEFORE the first
-  // co_await: `e` points into regions_, and a concurrent prune_host/mclose
-  // can erase the entry across any suspension (the PR 5 use-after-
-  // suspension rule; Ring.EvictMidBatchIsSafe pins this).
-  const int fd = e->fd;
-  const Bytes64 file_base = e->file_offset;
-  const core::RegionKey key = e->key;
-  const core::StripeMap map = e->map;
-  e = nullptr;
-
-  const Bytes64 lo = b->lo;
-  std::vector<Piece> pieces = overlap_pieces(map, lo, b->hi - lo);
-
-  // Per piece, a scatter list maps the piece's byte range across the ops'
-  // buffers, so the bulk chunks land directly in application memory — the
-  // whole batch moves with zero intermediate copies.
-  std::vector<std::vector<net::ScatterSeg>> scatter(pieces.size());
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const Piece& p = pieces[i];
-    for (const PendingOp& op : b->ops) {
-      const Bytes64 ov_lo = std::max(p.lo, op.offset);
-      const Bytes64 ov_hi = std::min(p.lo + p.want, op.offset + op.len);
-      if (ov_lo >= ov_hi) continue;
-      net::ScatterSeg seg;
-      seg.data = op.buf == nullptr ? nullptr : op.buf + (ov_lo - op.offset);
-      seg.size = ov_hi - ov_lo;
-      scatter[i].push_back(seg);
-    }
-  }
-
-  std::vector<FragOutcome> outcomes(pieces.size());
-  sim::WaitGroup wg(sim_);
-  wg.add(static_cast<int>(pieces.size()));
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const Piece& p = pieces[i];
-    sim_.spawn(read_piece(p.set, p.lo - p.base, p.want, nullptr,
-                          &outcomes[i], &wg, b->span_ctx, &scatter[i]));
-  }
-  co_await wg.wait();
-
-  // Join exactly as mread_ex: per-piece accounting, then prune every
-  // failed attempt (silent hosts wholesale, rejected copies one by one).
-  std::vector<net::NodeId> failed_hosts;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (outcomes[i].ok) {
-      ++metrics_.remote_reads;
-      metrics_.remote_read_bytes += pieces[i].want;
-      if (outcomes[i].replica_hit) ++metrics_.replica_hits;
-    }
-    if (!outcomes[i].failed_hosts.empty() ||
-        !outcomes[i].failed_copies.empty()) {
-      ++metrics_.access_failures;
-    }
-    failed_hosts.insert(failed_hosts.end(), outcomes[i].failed_hosts.begin(),
-                        outcomes[i].failed_hosts.end());
-    for (const core::RegionLoc& c : outcomes[i].failed_copies) {
-      prune_copy(key, c);
-    }
-  }
-  std::sort(failed_hosts.begin(), failed_hosts.end());
-  failed_hosts.erase(std::unique(failed_hosts.begin(), failed_hosts.end()),
-                     failed_hosts.end());
-  for (const net::NodeId h : failed_hosts) prune_host(h);
-
-  // Resolve each op independently: only the byte ranges overlapping a LOST
-  // piece degrade to the backing file — fragment-granular per op, so one
-  // pruned host never disk-fills the whole batch. Each op lands in exactly
-  // one of remote_hits / mreads_degraded (conservation triple), and
-  // disk_fallbacks ticks once per (op × lost piece) overlap, keeping
-  // mreads_degraded ≤ disk_fallbacks.
-  std::uint64_t fully_remote = 0;
-  for (PendingOp& op : b->ops) {
-    bool all_ok = true;
-    bool filled = true;
-    bool disk_err = false;
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      const Piece& p = pieces[i];
-      const Bytes64 ov_lo = std::max(p.lo, op.offset);
-      const Bytes64 ov_hi = std::min(p.lo + p.want, op.offset + op.len);
-      if (ov_lo >= ov_hi) continue;
-      if (outcomes[i].ok) {
-        filled = filled && outcomes[i].filled;
-        continue;
-      }
-      all_ok = false;
-      ++metrics_.disk_fallbacks;
-      obs::frecord(params_.flight, obs::FlightEventType::kDiskFallback,
-                   static_cast<std::int64_t>(rd), ov_hi - ov_lo);
-      op.result.disk_ranges.emplace_back(ov_lo - op.offset, ov_hi - ov_lo);
-      obs::ScopedSpan dspan(params_.spans, "disk.read", b->span_ctx);
-      std::uint8_t* dst =
-          op.buf == nullptr ? nullptr : op.buf + (ov_lo - op.offset);
-      const Bytes64 got =
-          co_await fs_.pread(fd, file_base + ov_lo, ov_hi - ov_lo, dst);
-      if (got != ov_hi - ov_lo) disk_err = true;
-    }
-    if (disk_err) {
-      ++metrics_.mreads_degraded;
-      dodo_errno() = kDodoEIO;
-      op.result = ReadResult{};
-      continue;
-    }
-    if (all_ok) {
-      ++metrics_.remote_hits;
-      mread_latency_.observe(sim_.now() - op.enqueued);
-      ++fully_remote;
-    } else {
-      ++metrics_.mreads_degraded;
-    }
-    op.result.n = op.len;
-    op.result.filled = filled;
-  }
-  // Adaptation signal: re-find the entry (any await above may have dropped
-  // it) and count the fully-remote ops for the next kPong report.
-  if (fully_remote > 0) {
-    if (auto it = regions_.find(rd); it != regions_.end()) {
-      it->second.hits += fully_remote;
-    }
-  }
-  finish_batch(*b);
-}
-
-void DodoClient::finish_batch(ReadBatch& b) {
-  // Close the per-op spans before the batch span (strict nesting), then
-  // fire the callbacks in submission order, then release the barrier.
-  if (params_.spans != nullptr) {
-    for (const PendingOp& op : b.ops) {
-      if (op.span != 0) params_.spans->end(op.span);
-    }
-    if (b.span != 0) params_.spans->end(b.span);
-  }
-  for (PendingOp& op : b.ops) {
-    if (op.on_complete) op.on_complete(op.result);
-  }
-  b.done.done();
-}
-
 sim::Co<void> DodoClient::write_fragment(core::RegionLoc frag,
                                          Bytes64 frag_off, Bytes64 want,
                                          const std::uint8_t* src,
@@ -953,9 +656,6 @@ sim::Co<void> DodoClient::write_fragment(core::RegionLoc frag,
 sim::Co<Status> DodoClient::push_remote(int rd, Bytes64 offset,
                                         const std::uint8_t* buf, Bytes64 len,
                                         obs::TraceContext parent) {
-  // Invalidate-on-write barrier: queued reads must flush (and complete)
-  // before any write touches the replica map — see flush_pending_reads.
-  co_await flush_pending_reads(rd);
   Entry* e = lookup_active(rd);
   if (e == nullptr) co_return Status(Err::kNoMem, "region not active");
   if (offset < 0 || offset >= e->len || len < 0) {
@@ -1000,12 +700,10 @@ sim::Co<Status> DodoClient::push_remote(int rd, Bytes64 offset,
   }
   co_await wg.wait();
 
-  // Join with explicit OR of per-copy failure flags: a piece degrades iff
-  // NO live copy took the bytes, and the overall status ORs the per-piece
-  // flags — a fast sibling's success can never overwrite a failure seen
-  // earlier (or later) in the scan.
+  // Join: a piece degrades iff NO live copy took the bytes, and the write
+  // degrades if any piece did. Every copy that missed the bytes is stale,
+  // whatever its siblings did.
   std::vector<bool> piece_has_live_ok(pieces.size(), false);
-  std::vector<bool> piece_has_failure(pieces.size(), false);
   Err first_err = Err::kOk;
   std::vector<core::RegionLoc> stale_copies;
   for (std::size_t k = 0; k < targets.size(); ++k) {
@@ -1014,8 +712,6 @@ sim::Co<Status> DodoClient::push_remote(int rd, Bytes64 offset,
       if (targets[k].live) piece_has_live_ok[targets[k].piece] = true;
     } else {
       ++metrics_.access_failures;
-      piece_has_failure[targets[k].piece] =
-          piece_has_failure[targets[k].piece] || true;
       if (first_err == Err::kOk) first_err = outcomes[k].err;
       stale_copies.push_back(targets[k].loc);
     }
@@ -1047,12 +743,6 @@ sim::Co<Status> DodoClient::push_remote(int rd, Bytes64 offset,
 sim::Co<Bytes64> DodoClient::mwrite(int rd, Bytes64 offset,
                                     const std::uint8_t* buf, Bytes64 len,
                                     obs::TraceContext parent) {
-  // Invalidate-on-write barrier: an mwrite landing between queued mreads
-  // and their flush would let the flush read through a replica map this
-  // write is about to prune — a copy that missed the write could serve
-  // pre-invalidation bytes. Flush and wait before even looking up the
-  // entry (regression: Replica.WriteBarrierFlushesPendingBatch).
-  co_await flush_pending_reads(rd);
   Entry* e = lookup_active(rd);
   if (e == nullptr) {
     dodo_errno() = kDodoENOMEM;
@@ -1114,9 +804,6 @@ sim::Co<Bytes64> DodoClient::mwrite(int rd, Bytes64 offset,
 }
 
 sim::Co<int> DodoClient::mclose(int rd) {
-  // Queued reads still hold the descriptor: flush them before deactivating
-  // so they resolve against a live entry instead of racing the close.
-  co_await flush_pending_reads(rd);
   auto it = regions_.find(rd);
   if (it == regions_.end()) {
     dodo_errno() = kDodoEINVAL;
@@ -1199,16 +886,9 @@ obs::MetricsSnapshot DodoClient::metrics_snapshot() const {
   out.set_counter("client.invalidations_sent", metrics_.invalidations_sent);
   out.set_counter("client.replica_updates_applied",
                   metrics_.replica_updates_applied);
-  // Batched-data-path keys are gated on the features being wired up, so a
-  // client that never batches exports the pre-batching key set and its
-  // JSON stays byte-identical per seed (the PR 9 telemetry-off pin).
-  if (coalescing_enabled() || ring_attached_) {
-    out.set_counter("client.batched_reads", metrics_.batched_reads);
-    out.set_counter("client.coalesced_mreads", metrics_.coalesced_mreads);
-    out.set_counter("client.batch_flushes", metrics_.batch_flushes);
-    out.set_counter("client.batch_write_barriers",
-                    metrics_.batch_write_barriers);
-  }
+  // Ring keys are gated on a ring being attached, so a client without one
+  // exports the pre-ring key set and its JSON stays byte-identical per seed
+  // (the telemetry-off pin).
   if (ring_attached_) {
     out.set_counter("client.ring_submitted", metrics_.ring_submitted);
     out.set_counter("client.ring_completed", metrics_.ring_completed);

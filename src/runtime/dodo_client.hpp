@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -56,16 +55,6 @@ struct ClientParams {
   obs::SpanRecorder* spans = nullptr;
   /// Optional flight-recorder ring (not owned). Null disables recording.
   obs::FlightRecorder* flight = nullptr;
-  /// Request coalescing (DESIGN.md §16): adjacent mreads against one
-  /// descriptor queue into a per-descriptor batch and flush as a single
-  /// merged fan-out with scatter-gather landing. This is the max merged
-  /// span in bytes; 0 disables coalescing entirely — every mread takes the
-  /// classic one-op path, byte-identical on the wire to pre-batching
-  /// builds.
-  Bytes64 coalesce_window_bytes = 0;
-  /// Max sim-time the first queued op waits for adjacent joiners before the
-  /// batch flushes anyway. Only meaningful when coalesce_window_bytes > 0.
-  Duration coalesce_window = micros(200);
 };
 
 struct ClientMetrics {
@@ -104,19 +93,6 @@ struct ClientMetrics {
   /// Replica-set deltas (add-write-only / activate / drop) applied from the
   /// cmd's kPing piggyback.
   std::uint64_t replica_updates_applied = 0;
-  // -- batched data path (all zero unless coalescing / a ring is in use) ---
-  /// mreads that went through the per-descriptor coalescing queue. Each is
-  /// still one mreads_total tick, so the conservation triple above is
-  /// unchanged; batched_reads ≤ mreads_total always.
-  std::uint64_t batched_reads = 0;
-  /// Batched reads whose flush carried at least one other op — the reads
-  /// that actually shared a bulk transfer. coalesced_mreads ≤ batched_reads.
-  std::uint64_t coalesced_mreads = 0;
-  /// Merged fan-outs issued (≤ batched_reads: every flush carries ≥ 1 op).
-  std::uint64_t batch_flushes = 0;
-  /// Flushes forced by an mwrite/push_remote/mclose barrier: a write must
-  /// never land between queued reads and their flush (staleness contract).
-  std::uint64_t batch_write_barriers = 0;
   // -- submission/completion ring (counted here so one snapshot covers the
   // whole runtime; a DodoRing is a separate object wired to this client) --
   std::uint64_t ring_submitted = 0;
@@ -183,20 +159,6 @@ class DodoClient {
   /// whether a remote fill can be trusted over the backing file.
   sim::Co<ReadResult> mread_ex(int rd, Bytes64 offset, std::uint8_t* buf,
                                Bytes64 len, obs::TraceContext parent = {});
-
-  /// Queues one read into the descriptor's open coalescing batch (opening
-  /// one if needed) without suspending; `on_complete` fires exactly once
-  /// when the flush resolves the op — in submission order within a batch.
-  /// Argument-validation failures complete before this returns. Requires
-  /// coalescing to be enabled (coalesce_window_bytes > 0); DodoRing's
-  /// submission path is built on this.
-  void mread_enqueue(int rd, Bytes64 offset, std::uint8_t* buf, Bytes64 len,
-                     std::function<void(const ReadResult&)> on_complete,
-                     obs::TraceContext parent = {});
-
-  [[nodiscard]] bool coalescing_enabled() const {
-    return params_.coalesce_window_bytes > 0;
-  }
 
   /// Writes to the backing file and the remote region in parallel; returns
   /// bytes written into the region, or -1 with dodo_errno set.
@@ -310,14 +272,10 @@ class DodoClient {
   /// One piece of a fanned-out mread: selects a replica with
   /// power-of-two-choices over host_score(), and on failure fails over to
   /// sibling replicas before reporting failure (the caller's disk path).
-  /// With `scatter` null the piece lands in `dst` via the classic
-  /// bulk_recv-then-copy path; non-null, it lands straight in the scatter
-  /// segments (bulk_recv_sg, zero intermediate copy) and `dst` is unused.
+  /// The piece lands in `dst` (nullptr: phantom) via bulk_recv, then a copy.
   sim::Co<void> read_piece(core::ReplicaSet set, Bytes64 frag_off,
                            Bytes64 want, std::uint8_t* dst, FragOutcome* out,
-                           sim::WaitGroup* wg, obs::TraceContext ctx,
-                           const std::vector<net::ScatterSeg>* scatter =
-                               nullptr);
+                           sim::WaitGroup* wg, obs::TraceContext ctx);
 
   /// One copy of a fanned-out push/mwrite (kWriteReq → WriteGo →
   /// bulk_send → WriteRep against the copy's owner).
@@ -344,61 +302,6 @@ class DodoClient {
 
   Entry* lookup_active(int rd);
 
-  // -- request coalescing (DESIGN.md §16) ----------------------------------
-
-  /// One queued read inside a ReadBatch. `len` is already clamped to the
-  /// region end; `result` is filled by the flush before `on_complete` runs.
-  struct PendingOp {
-    Bytes64 offset = 0;
-    Bytes64 len = 0;
-    std::uint8_t* buf = nullptr;
-    SimTime enqueued = 0;
-    std::uint64_t span = 0;  // per-op client.mread span (0 = untraced)
-    std::function<void(const ReadResult&)> on_complete;
-    ReadResult result;
-  };
-
-  /// The open (or flushing) batch for one descriptor: a contiguous span
-  /// [lo, hi) of queued adjacent reads. Owned by shared_ptr because three
-  /// parties can hold it past suspension points: the pending_batches_ map,
-  /// the expiry timer coroutine, and the flush coroutine.
-  struct ReadBatch {
-    explicit ReadBatch(sim::Simulator& sim) : done(sim) { done.add(1); }
-    int rd = -1;
-    Bytes64 lo = 0;
-    Bytes64 hi = 0;
-    bool flushed = false;  // no more joiners; the flush coroutine owns it
-    std::uint64_t span = 0;       // client.mread_batch span
-    obs::TraceContext span_ctx;   // ...as a parent for per-op spans
-    std::vector<PendingOp> ops;
-    sim::WaitGroup done;  // released once every op completed (barriers wait)
-  };
-
-  /// mread_ex's coalescing route: enqueue and suspend until the flush
-  /// resolves this op.
-  sim::Co<ReadResult> mread_coalesced(int rd, Bytes64 offset,
-                                      std::uint8_t* buf, Bytes64 len,
-                                      obs::TraceContext parent);
-
-  /// Detaches `b` from pending_batches_ (idempotent) and spawns run_flush.
-  void start_flush(const std::shared_ptr<ReadBatch>& b);
-
-  /// Expiry: a batch flushes after coalesce_window even if never filled.
-  sim::Co<void> batch_timer(std::shared_ptr<ReadBatch> b);
-
-  /// The merged fan-out: one overlap_pieces walk over [lo, hi), one
-  /// read_piece per piece landing via scatter-gather, then per-op
-  /// accounting/degradation exactly mirroring mread_ex.
-  sim::Co<void> run_flush(std::shared_ptr<ReadBatch> b);
-
-  /// Closes spans, fires callbacks in submission order, releases `done`.
-  void finish_batch(ReadBatch& b);
-
-  /// Write/close barrier: flushes rd's pending batch (if any) and waits for
-  /// it to complete, so a write can never land between queued reads and
-  /// their flush. No-op when nothing is queued.
-  sim::Co<void> flush_pending_reads(int rd);
-
   /// Shard endpoint owning `key`'s directory entry (the only cmd any
   /// control RPC for that key ever talks to).
   [[nodiscard]] const net::Endpoint& shard_endpoint(
@@ -422,8 +325,6 @@ class DodoClient {
 
   std::unordered_map<int, Entry> regions_;
   std::unordered_map<net::NodeId, HostScore> host_scores_;
-  /// At most one open batch per descriptor; erased when the flush starts.
-  std::unordered_map<int, std::shared_ptr<ReadBatch>> pending_batches_;
   bool ring_attached_ = false;
   /// See multi_copy_seen(). Copy counts only grow at the mopen_ex insert
   /// and a kActivate delta, so those are the only two places that set it.

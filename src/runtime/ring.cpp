@@ -20,19 +20,7 @@ bool DodoRing::try_submit(const Sqe& sqe) {
   }
   ++in_flight_;
   client_.ring_note_submit(static_cast<std::uint64_t>(in_flight_));
-  if (sqe.op == RingOp::kRead && client_.coalescing_enabled()) {
-    // The batched path: no coroutine per op. The read joins the
-    // descriptor's coalescing queue and this callback fires when the merged
-    // flush resolves it (possibly synchronously, on validation failure).
-    client_.mread_enqueue(
-        sqe.rd, sqe.offset, sqe.buf, sqe.len,
-        [this, ud = sqe.user_data](const DodoClient::ReadResult& r) {
-          complete_read(ud, r);
-        });
-  } else {
-    // Writes, and reads with coalescing off, run the classic one-op path.
-    sim_.spawn(run_op(sqe));
-  }
+  sim_.spawn(run_op(sqe));
   return true;
 }
 
@@ -41,29 +29,19 @@ sim::Co<void> DodoRing::submit(Sqe sqe) {
 }
 
 sim::Co<void> DodoRing::run_op(Sqe sqe) {
-  if (sqe.op == RingOp::kRead) {
-    const DodoClient::ReadResult r =
-        co_await client_.mread_ex(sqe.rd, sqe.offset, sqe.buf, sqe.len);
-    complete_read(sqe.user_data, r);
-    co_return;
-  }
-  const Bytes64 n =
-      co_await client_.mwrite(sqe.rd, sqe.offset, sqe.wbuf, sqe.len);
   Cqe c;
   c.user_data = sqe.user_data;
-  c.n = n;
-  c.filled = n >= 0;
-  post(std::move(c));
-}
-
-void DodoRing::complete_read(std::uint64_t user_data,
-                             const DodoClient::ReadResult& r) {
-  Cqe c;
-  c.user_data = user_data;
-  c.n = r.n;
-  c.filled = r.filled;
-  c.degraded = r.n < 0 || !r.disk_ranges.empty();
-  c.disk_ranges = r.disk_ranges;
+  if (sqe.op == RingOp::kRead) {
+    DodoClient::ReadResult r =
+        co_await client_.mread_ex(sqe.rd, sqe.offset, sqe.buf, sqe.len);
+    c.n = r.n;
+    c.filled = r.filled;
+    c.degraded = r.n < 0 || !r.disk_ranges.empty();
+    c.disk_ranges = std::move(r.disk_ranges);
+  } else {
+    c.n = co_await client_.mwrite(sqe.rd, sqe.offset, sqe.wbuf, sqe.len);
+    c.filled = c.n >= 0;
+  }
   post(std::move(c));
 }
 

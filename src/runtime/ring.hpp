@@ -1,24 +1,22 @@
 // Submission/completion ring over libdodo (DESIGN.md §16), io_uring-style.
 //
-// The classic API costs one coroutine per op: a loadgen client doing 4 KB
-// mreads spends more sim (and host) time in frame churn than in data
-// movement. The ring inverts that: the application enqueues mread/mwrite
-// *descriptors* (Sqe), the runtime resolves them — reads feed the client's
-// coalescing queue, so adjacent small ops merge into one bulk transfer with
-// scatter-gather landing — and the application reaps completions (Cqe) from
-// a channel whenever it likes. One submitter coroutine can keep `depth` ops
-// in flight.
+// The classic API makes the caller await each op in turn, so one
+// application coroutine has one round trip in flight at a time. The ring
+// decouples submission from completion: the application enqueues
+// mread/mwrite *descriptors* (Sqe), the ring runs each one on the client's
+// ordinary mread_ex/mwrite path, and the application reaps completions (Cqe)
+// from a channel whenever it likes. One submitter coroutine can keep
+// `depth` ops in flight.
 //
 // Semantics:
 //  - try_submit never suspends; it returns false (and counts a
 //    ring_full_reject) when `depth` ops are already in flight.
 //  - submit() is the awaitable variant: it backpressures until a slot frees.
-//  - Completions are reaped in completion order (reads within one batch
-//    complete in submission order; ops of different batches/kinds may
-//    reorder, which is why Cqe carries user_data).
-//  - With the client's coalescing window at 0, ring reads run through the
-//    classic mread_ex path one op at a time — the wire stays byte-identical
-//    to a build without the ring (Ring.WindowZeroWireByteIdentity pins it).
+//  - Completions are reaped in completion order, which need not be
+//    submission order; Cqe carries user_data for that reason.
+//  - Every op is exactly the call a caller could have awaited directly, so
+//    ring reads put the same datagrams on the wire as direct mreads
+//    (Ring.WindowZeroWireByteIdentity pins it).
 //  - Ring counters (submitted/completed/rejects/peak depth) live in the
 //    client's metrics so one snapshot covers the whole runtime; they are
 //    only exported once a ring has been attached.
@@ -95,8 +93,6 @@ class DodoRing {
 
  private:
   sim::Co<void> run_op(Sqe sqe);
-  void complete_read(std::uint64_t user_data,
-                     const DodoClient::ReadResult& r);
   void post(Cqe c);
 
   sim::Simulator& sim_;

@@ -179,21 +179,6 @@ TEST(Snapshot, WithoutZerosDropsOnlyZeroValuedEntries) {
   EXPECT_NE(s.to_json(), trimmed.to_json());
 }
 
-TEST(Registry, SnapshotGathersLiveCellsAndAbsorbed) {
-  obs::MetricsRegistry reg;
-  reg.counter("c").inc(3);
-  reg.gauge("g").set(9);
-  reg.histogram("h").observe(1_ms);
-  obs::MetricsSnapshot ext;
-  ext.set_counter("c", 1);  // absorbed snapshots merge with live cells
-  reg.absorb(ext);
-  const obs::MetricsSnapshot s = reg.snapshot();
-  EXPECT_EQ(s.counter_value("c"), 4u);
-  EXPECT_EQ(s.gauge_value("g"), 9);
-  ASSERT_NE(s.find("h"), nullptr);
-  EXPECT_EQ(s.find("h")->count, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------

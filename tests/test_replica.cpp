@@ -44,15 +44,14 @@ struct ReplicaFixture {
   int fd = -1;
 
   explicit ReplicaFixture(int hosts, core::CmdParams cp,
-                          Bytes64 pool = 16_MiB,
-                          ClientParams clp = ClientParams{})
+                          Bytes64 pool = 16_MiB)
       : net(sim, net::NetParams::unet(),
             static_cast<std::size_t>(hosts) + 2),
         spans(sim),
         cmd(sim, net, 0, cp),
         fs(sim),
         client(sim, net, 1, net::Endpoint{0, core::kCmdPort}, fs,
-               make_client_params(&spans, clp)) {
+               make_client_params(&spans)) {
     cmd.start();
     for (int i = 0; i < hosts; ++i) {
       core::ImdParams p;
@@ -76,8 +75,8 @@ struct ReplicaFixture {
     return p;
   }
 
-  static ClientParams make_client_params(obs::SpanRecorder* rec,
-                                         ClientParams p = ClientParams{}) {
+  static ClientParams make_client_params(obs::SpanRecorder* rec) {
+    ClientParams p;
     p.spans = rec;
     return p;
   }
@@ -474,69 +473,6 @@ TEST(Replica, McloseFreesEveryCopy) {
     EXPECT_EQ(f.hosts_holding_regions(), 0);
   });
   EXPECT_EQ(fx.cmd.metrics().frees, 1u);
-}
-
-TEST(Replica, WriteBarrierFlushesPendingBatch) {
-  // Batched data path regression (DESIGN.md §16): an mwrite landing between
-  // queued coalesced mreads must flush the pending batch *first* — the
-  // queued reads observe the pre-write bytes, never a torn mix, and the
-  // write proceeds only once the batch resolved. A long window timer makes
-  // the barrier (not the timer) the only thing that can flush in time.
-  ClientParams clp;
-  clp.coalesce_window_bytes = 64_KiB;
-  clp.coalesce_window = 50 * kMillisecond;
-  ReplicaFixture fx(1, ReplicaFixture::replicated(1), 16_MiB, clp);
-  fx.run([](ReplicaFixture& f) -> Co<void> {
-    const Bytes64 rlen = 64_KiB;
-    const int rd = co_await f.client.mopen(rlen, f.fd, 0);
-    EXPECT_GE(rd, 0);
-    net::Buf before = pattern(static_cast<std::size_t>(rlen), 41);
-    EXPECT_EQ(co_await f.client.mwrite(rd, 0, before.data(), rlen), rlen);
-
-    // Two adjacent reads join one batch and sit pending on the 50ms timer.
-    net::Buf got(static_cast<std::size_t>(32_KiB), 0);
-    int done = 0;
-    DodoClient::ReadResult r0, r1;
-    f.client.mread_enqueue(rd, 0, got.data(), 16_KiB,
-                           [&](const DodoClient::ReadResult& r) {
-                             r0 = r;
-                             ++done;
-                           });
-    f.client.mread_enqueue(rd, 16_KiB,
-                           got.data() + static_cast<std::ptrdiff_t>(16_KiB),
-                           16_KiB,
-                           [&](const DodoClient::ReadResult& r) {
-                             r1 = r;
-                             ++done;
-                           });
-    EXPECT_EQ(done, 0);  // still batched, nothing flushed yet
-
-    net::Buf after = pattern(static_cast<std::size_t>(rlen), 43);
-    EXPECT_EQ(co_await f.client.mwrite(rd, 0, after.data(), rlen), rlen);
-    EXPECT_EQ(done, 2);  // the barrier flushed and awaited the batch
-    EXPECT_EQ(r0.n, 16_KiB);
-    EXPECT_EQ(r1.n, 16_KiB);
-    EXPECT_TRUE(r0.filled);
-    EXPECT_TRUE(r1.filled);
-    EXPECT_TRUE(r0.disk_ranges.empty());
-    EXPECT_TRUE(r1.disk_ranges.empty());
-    // The queued reads saw the pre-write image, byte for byte.
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), before.begin()));
-
-    // A fresh full-window read flushes immediately and sees the new bytes.
-    net::Buf back(static_cast<std::size_t>(rlen), 0);
-    EXPECT_EQ(co_await f.client.mread(rd, 0, back.data(), rlen), rlen);
-    EXPECT_EQ(back, after);
-  });
-  const auto& m = fx.client.metrics();
-  EXPECT_EQ(m.batch_write_barriers, 1u);
-  EXPECT_EQ(m.batched_reads, 3u);
-  EXPECT_EQ(m.coalesced_mreads, 2u);  // only the 2-op batch coalesced
-  EXPECT_EQ(m.batch_flushes, 2u);
-  EXPECT_EQ(m.mreads_total, 3u);
-  EXPECT_EQ(m.remote_hits, 3u);
-  EXPECT_EQ(m.mreads_degraded, 0u);
-  EXPECT_EQ(m.disk_fallbacks, 0u);
 }
 
 }  // namespace

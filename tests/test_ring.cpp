@@ -1,17 +1,19 @@
-// Zero-copy batched data path (DESIGN.md §16): the submission/completion
-// ring over libdodo, mread coalescing behind it, and the scatter-gather
-// fan-in underneath. These tests pin the ring contract (FIFO completions
-// for a coalesced batch, backpressure at depth, retry-safe completion
-// around mclose), the window=0 wire byte-identity guarantee, the
+// Submission/completion ring over libdodo (DESIGN.md §16). Every ring op
+// runs the client's ordinary mread_ex/mwrite path, so these tests pin the
+// ring contract (byte-exact completions, each op completed exactly once,
+// backpressure at depth, a clean failure for a submit after mclose), that
+// ring reads put the same datagrams on the wire as direct mreads, the
 // fragment-boundary degradation rule (only the byte range whose host died
-// goes to disk), and the PR-5 use-after-suspension regression (batch
-// descriptors copy Entry fields before the first co_await, so an eviction
-// mid-batch cannot leave a dangling pointer).
+// goes to disk), and the use-after-suspension rule (mread_ex copies its
+// Entry fields before the first co_await, so a prune while reads are
+// suspended cannot leave a dangling pointer).
 // Labeled `ring` (ctest -L ring / the ring test preset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -70,13 +72,6 @@ struct RingFixture {
     return p;
   }
 
-  static ClientParams coalescing(Bytes64 window, Duration timer) {
-    ClientParams p;
-    p.coalesce_window_bytes = window;
-    p.coalesce_window = timer;
-    return p;
-  }
-
   static ClientParams with_spans(obs::SpanRecorder* rec, ClientParams p) {
     p.spans = rec;
     return p;
@@ -129,11 +124,10 @@ struct WireDigest {
 };
 
 TEST(Ring, SubmissionCompletionOrdering) {
-  // Six adjacent 4 KiB reads submitted through the ring coalesce into one
-  // batch (one bulk transfer) and complete FIFO: CQE user_data comes back
-  // in submission order, each op byte-exact against its own slice.
-  RingFixture fx(1, RingFixture::plain(),
-                 RingFixture::coalescing(64_KiB, 1 * kMillisecond));
+  // Six 4 KiB reads submitted through the ring run concurrently; each
+  // completes exactly once with its own user_data, and each lands
+  // byte-exact in its own slice.
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -156,15 +150,20 @@ TEST(Ring, SubmissionCompletionOrdering) {
     EXPECT_EQ(ring.in_flight(), 6u);
     co_await ring.drain();
     EXPECT_EQ(ring.in_flight(), 0u);
-    for (std::uint64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(ring.completions_pending(), 6u);
+    std::vector<int> seen(6, 0);
+    for (int i = 0; i < 6; ++i) {
       const auto cqe = ring.try_reap();
       EXPECT_TRUE(cqe.has_value());
       if (!cqe.has_value()) continue;
-      EXPECT_EQ(cqe->user_data, i);  // FIFO: flush resolves ops in order
+      EXPECT_LT(cqe->user_data, 6u);
+      if (cqe->user_data < 6) ++seen[cqe->user_data];
       EXPECT_EQ(cqe->n, 4_KiB);
       EXPECT_TRUE(cqe->filled);
       EXPECT_FALSE(cqe->degraded);
     }
+    EXPECT_FALSE(ring.try_reap().has_value());
+    EXPECT_EQ(seen, std::vector<int>(6, 1));  // every op exactly once
     EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin()));
     EXPECT_EQ(co_await f.client.mclose(rd), 0);
   });
@@ -173,19 +172,14 @@ TEST(Ring, SubmissionCompletionOrdering) {
   EXPECT_EQ(m.ring_completed, 6u);
   EXPECT_EQ(m.ring_full_rejects, 0u);
   EXPECT_EQ(m.ring_peak_depth, 6u);
-  EXPECT_EQ(m.batched_reads, 6u);
-  EXPECT_EQ(m.coalesced_mreads, 6u);
-  EXPECT_EQ(m.batch_flushes, 1u);  // one merged bulk transfer
   EXPECT_EQ(m.remote_hits, 6u);
   EXPECT_EQ(m.mreads_degraded, 0u);
-  // The merged read landed scatter-gather, one segment per op.
-  EXPECT_EQ(fx.client.bulk_stats().sg_recvs.value(), 1u);
 }
 
 TEST(Ring, RingFullBackpressure) {
   // Depth 2: the third try_submit is rejected (counted), while the
   // awaitable submit() parks until a completion frees a slot.
-  RingFixture fx(1, RingFixture::plain());  // coalescing off: one op = one RPC
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -226,13 +220,10 @@ TEST(Ring, RingFullBackpressure) {
 }
 
 TEST(Ring, CompletionAfterMcloseIsRetrySafe) {
-  // Reads queued behind a long coalescing timer when mclose arrives: the
-  // close barrier flushes and awaits the batch, so every queued op
-  // completes with real bytes before the descriptor dies — and a
-  // subsequent submit against the dead descriptor completes with n < 0
-  // through the ring rather than wedging it.
-  RingFixture fx(1, RingFixture::plain(),
-                 RingFixture::coalescing(64_KiB, 50 * kMillisecond));
+  // Reads drained before mclose complete with real bytes; a later submit
+  // against the closed descriptor completes with n < 0 through the ring
+  // rather than wedging it.
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -252,18 +243,16 @@ TEST(Ring, CompletionAfterMcloseIsRetrySafe) {
       sqe.user_data = i;
       EXPECT_TRUE(ring.try_submit(sqe));
     }
-    EXPECT_EQ(ring.in_flight(), 2u);  // parked on the 50ms window timer
-    EXPECT_EQ(co_await f.client.mclose(rd), 0);  // barrier flushes first
     co_await ring.drain();
-    for (std::uint64_t i = 0; i < 2; ++i) {
+    for (int i = 0; i < 2; ++i) {
       const auto cqe = ring.try_reap();
       EXPECT_TRUE(cqe.has_value());
       if (!cqe.has_value()) continue;
-      EXPECT_EQ(cqe->user_data, i);
       EXPECT_EQ(cqe->n, 4_KiB);
       EXPECT_TRUE(cqe->filled);
     }
     EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin()));
+    EXPECT_EQ(co_await f.client.mclose(rd), 0);
 
     // Retry against the closed descriptor: a clean ring-level failure.
     Sqe late;
@@ -283,37 +272,46 @@ TEST(Ring, CompletionAfterMcloseIsRetrySafe) {
       EXPECT_TRUE(cqe->degraded);
     }
   });
-  EXPECT_EQ(fx.client.metrics().ring_submitted,
-            fx.client.metrics().ring_completed);
-  EXPECT_EQ(fx.client.metrics().batch_write_barriers, 1u);  // the mclose
+  EXPECT_EQ(fx.client.metrics().ring_submitted, 3u);
+  EXPECT_EQ(fx.client.metrics().ring_completed, 3u);
 }
 
 TEST(Ring, WindowZeroWireByteIdentity) {
-  // Batching off must be invisible on the wire: a client with
-  // coalesce_window_bytes = 0 and an attached-but-unused ring produces the
-  // exact datagram sequence of a pre-batching client, byte for byte.
-  auto drive = [](bool attach_ring) {
-    ClientParams clp;  // window stays 0: coalescing disabled
-    RingFixture fx(2, RingFixture::plain(2), clp);
+  // One read path: the same reads, awaited directly or submitted through a
+  // ring and reaped one at a time, produce the exact same datagram
+  // sequence, byte for byte.
+  auto drive = [](bool via_ring) {
+    RingFixture fx(2, RingFixture::plain(2));
     WireDigest digest;
     fx.net.set_delivery_probe(
         [&digest](const net::Message& m) { digest.message(m); });
-    fx.run([attach_ring](RingFixture& f) -> Co<void> {
-      std::unique_ptr<DodoRing> ring;
-      if (attach_ring) {
-        ring = std::make_unique<DodoRing>(f.sim, f.client, 16);
-      }
+    fx.run([via_ring](RingFixture& f) -> Co<void> {
       const Bytes64 rlen = 64_KiB;
       const int rd = co_await f.client.mopen(rlen, f.fd, 0);
       EXPECT_GE(rd, 0);
       net::Buf data = pattern(static_cast<std::size_t>(rlen), 13);
       EXPECT_EQ(co_await f.client.mwrite(rd, 0, data.data(), rlen), rlen);
+      std::optional<DodoRing> ring;
+      if (via_ring) ring.emplace(f.sim, f.client, 16);
       net::Buf back(static_cast<std::size_t>(rlen), 0);
+      auto read = [&](Bytes64 off, Bytes64 len) -> Co<Bytes64> {
+        if (!ring) {
+          co_return co_await f.client.mread(rd, off, back.data(), len);
+        }
+        Sqe sqe;
+        sqe.op = RingOp::kRead;
+        sqe.rd = rd;
+        sqe.offset = off;
+        sqe.len = len;
+        sqe.buf = back.data();
+        co_await ring->submit(sqe);
+        const Cqe cqe = co_await ring->reap();
+        co_return cqe.n;
+      };
       for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(co_await f.client.mread(rd, 0, back.data(), rlen), rlen);
+        EXPECT_EQ(co_await read(0, rlen), rlen);
         EXPECT_EQ(back, data);
-        EXPECT_EQ(co_await f.client.mread(rd, 8_KiB, back.data(), 4_KiB),
-                  4_KiB);
+        EXPECT_EQ(co_await read(8_KiB, 4_KiB), 4_KiB);
       }
       EXPECT_EQ(co_await f.client.msync(rd), 0);
       EXPECT_EQ(co_await f.client.mclose(rd), 0);
@@ -321,20 +319,20 @@ TEST(Ring, WindowZeroWireByteIdentity) {
     fx.net.set_delivery_probe(nullptr);
     return digest;
   };
-  const WireDigest base = drive(false);
+  const WireDigest direct = drive(false);
   const WireDigest ringed = drive(true);
-  EXPECT_GT(base.count, 0u);
-  EXPECT_EQ(base.count, ringed.count);
-  EXPECT_EQ(base.h, ringed.h) << "window=0 + idle ring changed the wire";
+  EXPECT_GT(direct.count, 0u);
+  EXPECT_EQ(direct.count, ringed.count);
+  EXPECT_EQ(direct.h, ringed.h) << "ring reads changed the wire";
 }
 
 TEST(Ring, FragmentBoundaryDegradationIsRangeExact) {
-  // A coalesced batch spanning a stripe-fragment boundary where exactly one
-  // fragment's host died: only the ops inside the dead fragment degrade to
-  // disk (their full op-relative range), the others stay remote hits, and
-  // the mreads == hits + degraded conservation holds.
-  RingFixture fx(2, RingFixture::plain(2),
-                 RingFixture::coalescing(64_KiB, 1 * kMillisecond));
+  // Three ring reads around a stripe-fragment boundary where exactly one
+  // fragment's host died: the op inside the dead fragment degrades over
+  // its whole range, the op inside the live one stays a remote hit, and
+  // the op straddling the boundary takes only its dead half from disk.
+  // The mreads == hits + degraded conservation holds throughout.
+  RingFixture fx(2, RingFixture::plain(2));
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;  // two 32 KiB fragments on two hosts
     const int rd = co_await f.client.mopen(rlen, f.fd, 0);
@@ -346,59 +344,64 @@ TEST(Ring, FragmentBoundaryDegradationIsRangeExact) {
     // Kill one fragment holder; which half it owned is placement detail.
     f.net.set_node_up(f.imds[1]->node(), false);
 
-    // Two adjacent 8 KiB reads crossing the 32 KiB boundary, one batch.
+    // 8 KiB reads at 24 KiB (fragment 0), 32 KiB (fragment 1) and 28 KiB
+    // (4 KiB on each side of the boundary).
+    const Bytes64 offsets[3] = {24_KiB, 32_KiB, 28_KiB};
     DodoRing ring(f.sim, f.client, 8);
-    net::Buf got(static_cast<std::size_t>(16_KiB), 0);
-    for (std::uint64_t i = 0; i < 2; ++i) {
+    net::Buf got(static_cast<std::size_t>(24_KiB), 0);
+    for (std::uint64_t i = 0; i < 3; ++i) {
       Sqe sqe;
       sqe.op = RingOp::kRead;
       sqe.rd = rd;
-      sqe.offset = 24_KiB + static_cast<Bytes64>(i) * 8_KiB;
+      sqe.offset = offsets[i];
       sqe.len = 8_KiB;
       sqe.buf = got.data() + static_cast<std::ptrdiff_t>(i * 8192);
       sqe.user_data = i;
       EXPECT_TRUE(ring.try_submit(sqe));
     }
     co_await ring.drain();
-    int degraded = 0;
-    for (std::uint64_t i = 0; i < 2; ++i) {
+    std::vector<Cqe> cqes(3);
+    for (int i = 0; i < 3; ++i) {
       const auto cqe = ring.try_reap();
       EXPECT_TRUE(cqe.has_value());
-      if (!cqe.has_value()) continue;
-      EXPECT_EQ(cqe->user_data, i);
-      EXPECT_EQ(cqe->n, 8_KiB);  // disk fills what the dead host cannot
-      EXPECT_TRUE(cqe->filled);
-      if (cqe->degraded) {
-        ++degraded;
-        // The op sits entirely inside the dead fragment: its whole
-        // op-relative range — and nothing else — went to disk.
-        EXPECT_EQ(cqe->disk_ranges.size(), 1u);
-        EXPECT_EQ(cqe->disk_ranges[0].first, 0);
-        EXPECT_EQ(cqe->disk_ranges[0].second, 8_KiB);
-      } else {
-        EXPECT_TRUE(cqe->disk_ranges.empty());
-      }
+      if (!cqe.has_value() || cqe->user_data >= 3) continue;
+      cqes[cqe->user_data] = *cqe;
     }
-    EXPECT_EQ(degraded, 1);  // exactly the fragment whose host died
-    // Both halves byte-exact: the degraded one from the write-through disk
-    // image, the healthy one from remote memory.
-    EXPECT_TRUE(std::equal(got.begin(), got.end(),
-                           data.begin() + static_cast<std::ptrdiff_t>(24_KiB)));
+    using Ranges = std::vector<std::pair<Bytes64, Bytes64>>;
+    const bool first_dead = cqes[0].degraded;
+    EXPECT_NE(cqes[0].degraded, cqes[1].degraded);  // exactly one fragment
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(cqes[i].n, 8_KiB);  // disk fills what the dead host cannot
+      EXPECT_TRUE(cqes[i].filled);
+      EXPECT_EQ(cqes[i].disk_ranges,
+                (cqes[i].degraded ? Ranges{{0, 8_KiB}} : Ranges{}));
+    }
+    EXPECT_EQ(cqes[2].n, 8_KiB);
+    EXPECT_TRUE(cqes[2].degraded);
+    EXPECT_EQ(cqes[2].disk_ranges,
+              (Ranges{{first_dead ? 0 : 4_KiB, 4_KiB}}));
+    // Every op byte-exact: degraded ranges from the write-through disk
+    // image, the rest from remote memory.
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(std::equal(
+          got.begin() + static_cast<std::ptrdiff_t>(i * 8192),
+          got.begin() + static_cast<std::ptrdiff_t>((i + 1) * 8192),
+          data.begin() + static_cast<std::ptrdiff_t>(offsets[i])));
+    }
   });
   const auto& m = fx.client.metrics();
   EXPECT_EQ(m.mreads_total, m.remote_hits + m.mreads_degraded);
-  EXPECT_EQ(m.mreads_degraded, 1u);
+  EXPECT_EQ(m.mreads_degraded, 2u);
   EXPECT_GE(m.disk_fallbacks, m.mreads_degraded);
 }
 
 TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
-  // PR-5 regression, batched edition: a batch flush snapshots its Entry
-  // fields before the first co_await. While two flushes sit suspended
-  // against a dead host, the first to resolve prunes that host and erases
-  // the *other* descriptor's Entry mid-flight; the second flush must keep
-  // working from its copies (ASan-clean) and degrade its ops to disk.
-  RingFixture fx(1, RingFixture::plain(),
-                 RingFixture::coalescing(64_KiB, 10 * kMillisecond));
+  // Use-after-suspension regression: mread_ex snapshots its Entry fields
+  // before the first co_await. While four ring reads on two descriptors sit
+  // suspended against a dead host, the first to resolve prunes that host
+  // and erases both descriptors' Entries mid-flight; the others must keep
+  // working from their copies (ASan-clean) and degrade to disk.
+  RingFixture fx(1, RingFixture::plain());
   fx.run([](RingFixture& f) -> Co<void> {
     const Bytes64 rlen = 64_KiB;
     const int rd1 = co_await f.client.mopen(rlen, f.fd, 0);
@@ -410,10 +413,10 @@ TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
     EXPECT_EQ(co_await f.client.mwrite(rd1, 0, d1.data(), rlen), rlen);
     EXPECT_EQ(co_await f.client.mwrite(rd2, 0, d2.data(), rlen), rlen);
 
-    // Both regions live on the single host; kill it, then queue a batch on
-    // each descriptor. Both flushes will time out against the dead host;
-    // whichever resolves first prunes the host and drops the other Entry
-    // out from under its suspended flush.
+    // Both regions live on the single host; kill it, then submit two reads
+    // on each descriptor. All four time out against the dead host; the
+    // first to resolve prunes the host and drops both Entries out from
+    // under the reads still suspended.
     f.net.set_node_up(f.imds[0]->node(), false);
     DodoRing ring(f.sim, f.client, 8);
     net::Buf got(static_cast<std::size_t>(16_KiB), 0);
@@ -450,6 +453,8 @@ TEST(Ring, EvictionMidBatchIsUseAfterSuspensionSafe) {
                            d1.begin()));
     EXPECT_TRUE(std::equal(got.begin() + static_cast<std::ptrdiff_t>(8_KiB),
                            got.end(), d2.begin()));
+    EXPECT_FALSE(f.client.active(rd1));
+    EXPECT_FALSE(f.client.active(rd2));
   });
   const auto& m = fx.client.metrics();
   EXPECT_EQ(m.mreads_total, 4u);

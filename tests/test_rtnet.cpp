@@ -74,59 +74,6 @@ void run_bulk(std::size_t len, double loss, std::uint64_t seed) {
 
 TEST(RtBulk, SingleChunk) { run_bulk(512, 0.0, 1); }
 
-// Scatter-gather receive: chunk payloads land directly in the caller's
-// segment buffers (DESIGN.md §16) with identical wire behaviour, including
-// under injected loss, and per-segment completion flags flip exactly once
-// each segment's full range has arrived.
-void run_bulk_sg(std::size_t len, double loss, std::uint64_t seed) {
-  UdpSocket tx = UdpSocket::open_loopback();
-  if (!tx.valid()) GTEST_SKIP() << "UDP sockets unavailable";
-  UdpSocket rx = UdpSocket::open_loopback();
-  ASSERT_TRUE(rx.valid());
-  if (loss > 0) tx.set_drop_rate(loss, seed);
-
-  const auto data = pattern(len);
-  // Uneven segments, including one discard hole in the middle: the logical
-  // stream maps [seg0 | hole | seg2], so the wire still carries every byte
-  // while only the kept ranges land in memory.
-  const std::size_t a = len / 3;
-  const std::size_t hole = len / 5;
-  const std::size_t c = len - a - hole;
-  std::vector<std::uint8_t> buf_a(a, 0), buf_c(c, 0);
-  std::vector<RtScatterSeg> segs = {
-      {buf_a.data(), a}, {nullptr, hole}, {buf_c.data(), c}};
-  std::vector<std::uint8_t> seg_done;
-
-  RtBulkParams params;
-  params.max_retries = 100;
-  RtBulkResult result;
-  std::thread receiver([&] {
-    result = rt_bulk_recv_sg(rx, 9, segs, &seg_done, params);
-  });
-  const Status st =
-      rt_bulk_send(tx, rx.port(), 9, data.data(), data.size(), params);
-  receiver.join();
-  EXPECT_TRUE(st.is_ok()) << st.to_string();
-  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
-  EXPECT_TRUE(result.data.empty());  // nothing materialized centrally
-  EXPECT_EQ(result.size, len);
-  ASSERT_EQ(seg_done.size(), 3u);
-  EXPECT_EQ(seg_done[0], 1);
-  EXPECT_EQ(seg_done[1], 1);  // the discard hole still completes
-  EXPECT_EQ(seg_done[2], 1);
-  EXPECT_TRUE(std::equal(buf_a.begin(), buf_a.end(), data.begin()));
-  EXPECT_TRUE(std::equal(buf_c.begin(), buf_c.end(),
-                         data.begin() + static_cast<std::ptrdiff_t>(a + hole)));
-}
-
-TEST(RtBulk, ScatterGatherSingleWindow) { run_bulk_sg(4096, 0.0, 3); }
-
-TEST(RtBulk, ScatterGatherMultiWindow) { run_bulk_sg(300000, 0.0, 3); }
-
-TEST(RtBulk, ScatterGatherSurvivesInjectedLoss) {
-  run_bulk_sg(200000, 0.05, 17);
-}
-
 TEST(RtBulk, MultiWindowMegabyte) { run_bulk(1024 * 1024, 0.0, 1); }
 
 TEST(RtBulk, SurvivesInjectedLoss) { run_bulk(300000, 0.05, 7); }

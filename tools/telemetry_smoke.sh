@@ -10,8 +10,8 @@
 #   bench_binary  path(s) (relative to the build dir) of the benches to run.
 #                 Default: bench/bench_flashcrowd (the timeline that
 #                 resolves the steady/reclaim/storm phases) and
-#                 bench/bench_smallops (the batched data path, whose
-#                 window=0 arm pins the unbatched wire).
+#                 bench/bench_smallops (the ring-depth sweep over the
+#                 one read path).
 #
 # Exit status: 0 = all runs identical, 1 = drift found, 2 = setup failure.
 set -eu
