@@ -2,11 +2,11 @@
 // over it.
 //
 // Everything else in this repository runs on the simulated clock; this
-// module demonstrates that the wire protocol itself — blast as much as fits
-// in the receiver's window, selective NACK on timeout, ACK advances the
-// window — is real code that moves real bytes over real UDP sockets, with
-// real packet loss injectable for tests. Blocking style with threads, as
-// the 1999 daemons were written.
+// module shows that the wire protocol itself is real code that moves real
+// bytes over real UDP sockets, with real packet loss injectable for tests.
+// rt_bulk_send and rt_bulk_recv drive the simulator's own state machines, on
+// its wire layout (net/bulk.hpp), over blocking sockets and a steady clock —
+// blocking style with threads, as the 1999 daemons were written.
 #pragma once
 
 #include <cstdint>

@@ -665,6 +665,37 @@ TEST(Bulk, DuplicateFloodStillDrawsTargetedNack) {
   EXPECT_EQ(nacked, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
+TEST(Bulk, ForgedChunkPastTotalIsDropped) {
+  // A chunk whose offset lies past the total it claims, from a third
+  // socket ahead of the real transfer. The receiver must drop it before
+  // adopting anything from it — no size, no peer, no bytes — so the real
+  // transfer that follows lands byte-exact, with nothing written outside
+  // its buffer (the asan-ubsan preset checks).
+  Simulator sim(1);
+  Network net(sim, NetParams::unet(), 3);
+  auto tx = net.open_ephemeral(0);
+  auto rx = net.open_ephemeral(1);
+  auto forger = net.open_ephemeral(2);
+  forger->send(rx->local(), bulk_data_header(77, 0, 1, 5000, 512, 1000),
+               make_pattern(512), 512);
+  const Buf data = make_pattern(1000);
+  BulkRecvResult rr;
+  Status st;
+  sim.spawn([](Socket& s, BulkRecvResult& out) -> Co<void> {
+    out = co_await bulk_recv(s, 77);
+  }(*rx, rr));
+  sim.spawn([](Simulator& sm, Socket& s, Endpoint dst, const Buf& d,
+               Status& out) -> Co<void> {
+    co_await sm.sleep(millis(1));  // the forged chunk lands first
+    out = co_await bulk_send(
+        s, dst, 77, BodyView{d.data(), static_cast<Bytes64>(d.size())});
+  }(sim, *tx, rx->local(), data, st));
+  sim.run(10_s);
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+  ASSERT_TRUE(rr.status.is_ok()) << rr.status.to_string();
+  EXPECT_EQ(rr.data, data);
+}
+
 TEST(Bulk, UnetFasterThanUdpForLargeTransfer) {
   auto time_one = [](NetParams params) {
     Simulator sim;
@@ -693,6 +724,205 @@ TEST(Bulk, UnetFasterThanUdpForLargeTransfer) {
   EXPECT_LT(unet, udp);
   // Both should still be within a factor of ~3 (same wire).
   EXPECT_LT(udp, unet * 3);
+}
+
+// --------------------------------------------------------------------------
+// Bulk protocol state machines, driven by hand: no simulator, no sockets,
+// the clock is whatever the test says it is.
+// --------------------------------------------------------------------------
+
+constexpr Bytes64 kChunk = 100;
+constexpr std::uint64_t kXfer = 7;
+
+/// A control frame as decode_bulk hands it over; `value` fills the kind's
+/// one field (total_len, window or next_base).
+BulkFrame control(BulkKind kind, std::uint64_t value,
+                  std::uint64_t xfer = kXfer) {
+  Buf h = bulk_header(kind, xfer);
+  Writer(h).u64(value);
+  return decode_bulk(h);
+}
+
+BulkFrame nack(const std::vector<std::uint64_t>& seqs) {
+  Buf h = bulk_header(BulkKind::kNack, kXfer);
+  Writer w(h);
+  w.u32(static_cast<std::uint32_t>(seqs.size()));
+  for (const auto s : seqs) w.u64(s);
+  return decode_bulk(h);
+}
+
+/// Decodes and empties an outbox.
+std::vector<BulkFrame> drain(std::vector<BulkDatagram>& outbox) {
+  std::vector<BulkFrame> frames;
+  for (const auto& d : outbox) frames.push_back(decode_bulk(d.header));
+  outbox.clear();
+  return frames;
+}
+
+std::vector<BulkKind> kinds(const std::vector<BulkFrame>& frames) {
+  std::vector<BulkKind> k;
+  for (const auto& f : frames) k.push_back(f.kind);
+  return k;
+}
+
+/// A sender of four chunks, past negotiation: its first round (all four,
+/// 1 ms of drain each) is on the wire and the outbox is empty.
+BulkSender blasted_sender() {
+  BulkSender tx(kXfer, {nullptr, 4 * kChunk}, kChunk, millis(1), {}, {});
+  tx.start();
+  tx.outbox.clear();
+  tx.on_frame(control(BulkKind::kCredit, 4 * kChunk));
+  tx.outbox.clear();
+  return tx;
+}
+
+TEST(BulkProto, NackBackoffDoublesCapsAndResetsOnProgress) {
+  BulkParams p;
+  p.window_bytes = 2 * kChunk;  // two rounds of two chunks
+  p.recv_gap_timeout = millis(10);
+  p.max_retries = 50;
+  BulkReceiver rx(kXfer, kChunk, p, 0);
+  const Buf body = make_pattern(4 * kChunk);
+  auto feed = [&](std::uint64_t seq, SimTime now) {
+    const BulkFrame f = decode_bulk(bulk_data_header(
+        kXfer, seq, 4, static_cast<Bytes64>(seq) * kChunk, kChunk,
+        4 * kChunk));
+    const BodyView chunk{body.data() + seq * kChunk, kChunk};
+    ASSERT_TRUE(rx.admit(f, chunk));
+    rx.on_frame(f, chunk, now, {});
+  };
+  // Quiet gaps before each NACK of one round: 1x, 2x, 4x, then capped at 8x.
+  auto expect_nacks = [&](const std::vector<std::uint64_t>& missing) {
+    SimTime last = rx.deadline() - millis(10);
+    for (const Duration gap : {10, 20, 40, 80, 80}) {
+      const SimTime now = rx.deadline();
+      EXPECT_EQ(now - last, millis(gap));
+      rx.on_deadline(now, {});
+      const auto out = drain(rx.outbox);
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out[0].kind, BulkKind::kNack);
+      EXPECT_EQ(out[0].missing, missing);
+      last = now;
+    }
+  };
+
+  rx.on_frame(control(BulkKind::kReq, 4 * kChunk), {}, millis(1), {});
+  EXPECT_EQ(kinds(drain(rx.outbox)), std::vector{BulkKind::kCredit});
+  feed(0, millis(2));
+  EXPECT_TRUE(rx.outbox.empty());
+  EXPECT_EQ(rx.deadline(), millis(12));  // a new chunk re-arms the deadline
+  expect_nacks({1});
+
+  // The round advancing restores the fast first NACK.
+  const SimTime t = rx.deadline() - millis(1);
+  feed(1, t);
+  const auto acked = drain(rx.outbox);
+  ASSERT_EQ(acked.size(), 1u);
+  EXPECT_EQ(acked[0].kind, BulkKind::kAck);
+  EXPECT_EQ(acked[0].next_base, 2u);
+  EXPECT_EQ(rx.deadline(), t + millis(10));
+  expect_nacks({2, 3});
+  EXPECT_FALSE(rx.done());
+}
+
+TEST(BulkProto, SenderTimeoutProbesOnceAndSendsNoData) {
+  BulkParams p;
+  BulkSender tx(kXfer, {nullptr, 4 * kChunk}, kChunk, millis(1), p, {});
+  tx.start();
+  EXPECT_EQ(kinds(drain(tx.outbox)), std::vector{BulkKind::kReq});
+  EXPECT_EQ(tx.wait(), p.ack_timeout);
+  tx.on_frame(control(BulkKind::kCredit, 4 * kChunk));
+  EXPECT_EQ(drain(tx.outbox).size(), 4u);
+  // The round's wait covers its own drain: ack_timeout + 4 chunks.
+  EXPECT_EQ(tx.wait(), p.ack_timeout + millis(4));
+  tx.on_timeout();
+  const auto out = drain(tx.outbox);
+  EXPECT_EQ(kinds(out), std::vector{BulkKind::kReq});
+  EXPECT_EQ(out[0].total_len, 4 * kChunk);
+  EXPECT_EQ(tx.wait(), p.ack_timeout + millis(4));  // unchanged by a probe
+  EXPECT_FALSE(tx.done());
+}
+
+TEST(BulkProto, StrayOrDuplicateAckDuringRoundEmitsNothing) {
+  BulkSender tx = blasted_sender();
+  const Duration wait = tx.wait();
+  tx.on_frame(control(BulkKind::kAck, 0));  // duplicate: base is already 0
+  tx.on_frame(control(BulkKind::kAck, 4, kXfer + 1));  // another transfer's
+  tx.on_frame(control(BulkKind::kCredit, 4 * kChunk));  // answers a probe
+  tx.on_frame(BulkFrame{});                             // undecodable
+  EXPECT_TRUE(tx.outbox.empty());
+  EXPECT_EQ(tx.wait(), wait);
+  EXPECT_FALSE(tx.done());
+  tx.on_frame(control(BulkKind::kAck, 4));
+  EXPECT_TRUE(tx.outbox.empty());
+  EXPECT_TRUE(tx.done());
+  EXPECT_TRUE(tx.status().is_ok());
+}
+
+TEST(BulkProto, StrayDuringNegotiationResendsRequest) {
+  BulkStats stats;
+  BulkParams p;
+  p.stats = &stats;
+  BulkSender tx(kXfer, {nullptr, 4 * kChunk}, kChunk, 0, p, {});
+  tx.start();
+  EXPECT_EQ(kinds(drain(tx.outbox)), std::vector{BulkKind::kReq});
+  const std::vector<BulkFrame> strays = {
+      control(BulkKind::kAck, 0), control(BulkKind::kCredit, kChunk - 1),
+      control(BulkKind::kCredit, 4 * kChunk, kXfer + 1), BulkFrame{}};
+  for (const auto& f : strays) {
+    tx.on_frame(f);
+    EXPECT_EQ(kinds(drain(tx.outbox)), std::vector{BulkKind::kReq});
+  }
+  EXPECT_EQ(stats.credit_requests.value(), 5u);
+  EXPECT_EQ(stats.credit_renegotiations.value(), 4u);
+  tx.on_frame(control(BulkKind::kCredit, 4 * kChunk));
+  EXPECT_EQ(drain(tx.outbox).size(), 4u);  // the blast
+}
+
+TEST(BulkProto, SenderIgnoresNackSeqsPastTheEnd) {
+  BulkSender tx = blasted_sender();
+  tx.on_frame(nack({2, 4, 1000000}));
+  const auto out = drain(tx.outbox);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].kind, BulkKind::kData);
+  EXPECT_EQ(out[0].seq, 2u);
+}
+
+TEST(BulkProto, DecoderReservesOnlyWhatTheDatagramHolds) {
+  Buf h = bulk_header(BulkKind::kNack, kXfer);
+  Writer w(h);
+  w.u32(0xFFFFFFFFu);
+  w.u64(3);
+  const BulkFrame f = decode_bulk(h);
+  EXPECT_FALSE(f.ok);
+  EXPECT_EQ(f.missing.capacity(), 0u);
+}
+
+TEST(BulkProto, ReceiverAdmitsOnlyChunksInsideTheTransfer) {
+  BulkReceiver rx(kXfer, kChunk, {}, 0);
+  const Buf bytes = make_pattern(static_cast<std::size_t>(kChunk));
+  const BodyView full{bytes.data(), kChunk};
+  auto chunk = [](Bytes64 off, Bytes64 len, Bytes64 total,
+                  std::uint64_t nchunks = 4) {
+    return decode_bulk(bulk_data_header(kXfer, 0, nchunks, off, len, total));
+  };
+  EXPECT_TRUE(rx.admit(chunk(300, kChunk, 4 * kChunk), full));
+  EXPECT_FALSE(rx.admit(chunk(5000, kChunk, 4 * kChunk), full));  // offset
+  EXPECT_FALSE(rx.admit(chunk(350, kChunk, 4 * kChunk), full));   // overruns
+  EXPECT_FALSE(rx.admit(chunk(-1, kChunk, 4 * kChunk), full));
+  EXPECT_FALSE(rx.admit(chunk(0, kChunk, 4 * kChunk), {bytes.data(), 40}));
+  EXPECT_FALSE(rx.admit(chunk(0, kChunk, 50), full));  // more than the total
+  EXPECT_FALSE(rx.admit(chunk(0, kChunk, 4 * kChunk, 401), full));  // nchunks
+  EXPECT_FALSE(rx.admit(control(BulkKind::kReq, static_cast<std::uint64_t>(
+                                                    std::int64_t{-1})),
+                        {}));
+  EXPECT_FALSE(rx.admit(control(BulkKind::kReq, 400, kXfer + 1), {}));
+  EXPECT_FALSE(rx.admit(BulkFrame{}, {}));
+  // Once a kReq fixes the size, chunks are checked against it, whatever
+  // total they claim.
+  rx.on_frame(control(BulkKind::kReq, 2 * kChunk), {}, 0, {});
+  EXPECT_FALSE(rx.admit(chunk(300, kChunk, 4 * kChunk), full));
+  EXPECT_TRUE(rx.admit(chunk(100, kChunk, 4 * kChunk, 2), full));
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 #include <thread>
 #include <vector>
 
-#include "net/codec.hpp"
-
 #include "fuzz/permute.hpp"
+#include "net/bulk.hpp"
+#include "net/codec.hpp"
 #include "rtnet/rt_udp.hpp"
 
 namespace dodo::rtnet {
@@ -128,22 +128,17 @@ TEST(RtUdp, ToleratesReorderedAndDuplicatedDatagrams) {
   EXPECT_FALSE(rx.recv(20).has_value());  // and nothing extra
 }
 
-// Raw kData frame as rt_udp.cpp lays it out: u8 kind(3), u64 xfer, u64 seq,
-// u64 nchunks, i64 total_len, u32 payload_len, payload bytes.
+// Raw kData frame for chunk `seq` of `data` in `piece`-byte chunks, built
+// with the shared bulk encoder: the header, then the chunk's bytes.
 net::Buf raw_chunk(std::uint64_t xfer, std::uint64_t seq,
                    std::uint64_t nchunks,
                    const std::vector<std::uint8_t>& data, std::size_t piece) {
   const std::size_t off = static_cast<std::size_t>(seq) * piece;
   const std::size_t n = std::min(piece, data.size() - off);
-  net::Buf msg;
-  net::Writer w(msg);
-  w.u8(3);  // kData
-  w.u64(xfer);
-  w.u64(seq);
-  w.u64(nchunks);
-  w.i64(static_cast<std::int64_t>(data.size()));
-  w.u32(static_cast<std::uint32_t>(n));
-  w.bytes(data.data() + off, n);
+  net::Buf msg = net::bulk_data_header(
+      xfer, seq, nchunks, static_cast<Bytes64>(off), static_cast<Bytes64>(n),
+      static_cast<Bytes64>(data.size()));
+  net::Writer(msg).bytes(data.data() + off, n);
   return msg;
 }
 
@@ -222,6 +217,92 @@ TEST(RtBulk, DuplicateFloodStillDrawsTargetedNack) {
   ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
   EXPECT_EQ(result.data, data);
   EXPECT_TRUE(nacked);
+}
+
+TEST(RtBulk, AckTimeoutProbesInsteadOfReblasting) {
+  // A receiver that grants credit and then goes silent. After the first
+  // blast a bare ACK timeout draws a one-datagram credit probe, never a
+  // re-blast: data is re-sent only on a NACK, so the sender puts exactly one
+  // window of data and max_retries probes on the wire before giving up.
+  UdpSocket tx = UdpSocket::open_loopback();
+  REQUIRE_SOCKETS(tx);
+  UdpSocket peer = UdpSocket::open_loopback();
+  ASSERT_TRUE(peer.valid());
+  RtBulkParams params;
+  params.ack_timeout_ms = 20;
+  params.max_retries = 3;
+  const auto data = pattern(100000);  // 72 chunks; one window holds 46
+  const std::size_t window_chunks = params.window_bytes / params.chunk;
+  Status st;
+  std::thread sender([&] {
+    st = rt_bulk_send(tx, peer.port(), 5, data.data(), data.size(), params);
+  });
+  bool granted = false;
+  int probes = 0;
+  std::size_t data_frames = 0;
+  while (auto m = peer.recv(200)) {
+    const net::BulkFrame f = net::decode_bulk(m->first);
+    if (f.kind == net::BulkKind::kData) {
+      ++data_frames;
+    } else if (f.kind == net::BulkKind::kReq && data_frames > 0) {
+      ++probes;
+    } else if (f.kind == net::BulkKind::kReq && !granted) {
+      granted = true;
+      net::Buf credit = net::bulk_header(net::BulkKind::kCredit, 5);
+      net::Writer(credit).i64(
+          static_cast<std::int64_t>(window_chunks * params.chunk));
+      EXPECT_TRUE(peer.send_to(m->second, credit.data(), credit.size()));
+    }
+  }
+  sender.join();
+  EXPECT_EQ(st.code(), Err::kTimeout) << st.to_string();
+  EXPECT_EQ(data_frames, window_chunks);
+  EXPECT_EQ(probes, params.max_retries);
+}
+
+TEST(RtBulk, ForgedDatagramsAreIgnored) {
+  // Frames no honest peer sends, each from a third socket ahead of a real
+  // transfer: the receiver must drop a chunk carrying more bytes than its
+  // transfer has, and the sender must drop NACKs that name a seq past the
+  // end or claim 0xFFFFFFFF seqs. Neither side may touch memory outside the
+  // transfer (the asan-ubsan preset checks), and both transfers land
+  // byte-exact.
+  UdpSocket tx = UdpSocket::open_loopback();
+  REQUIRE_SOCKETS(tx);
+  UdpSocket rx = UdpSocket::open_loopback();
+  UdpSocket forger = UdpSocket::open_loopback();
+  ASSERT_TRUE(rx.valid() && forger.valid());
+  RtBulkParams params;
+  params.max_retries = 100;
+  auto transfer = [&](std::uint64_t xfer, std::size_t len) {
+    const auto data = pattern(len);
+    RtBulkResult result;
+    std::thread receiver([&] { result = rt_bulk_recv(rx, xfer, params); });
+    const Status st =
+        rt_bulk_send(tx, rx.port(), xfer, data.data(), data.size(), params);
+    receiver.join();
+    EXPECT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_TRUE(result.status.is_ok()) << result.status.to_string();
+    EXPECT_EQ(result.data, data);
+  };
+
+  // A chunk claiming a 1,000-byte transfer and carrying 4,000 bytes.
+  const auto junk = pattern(4000);
+  net::Buf big = net::bulk_data_header(9, 0, 1, 0, 4000, 1000);
+  net::Writer(big).bytes(junk.data(), junk.size());
+  ASSERT_TRUE(forger.send_to(rx.port(), big.data(), big.size()));
+  transfer(9, 3000);
+
+  // NACKs waiting in the sender's socket when its lone chunk goes out.
+  net::Buf past = net::bulk_header(net::BulkKind::kNack, 10);
+  net::Writer(past).u32(1);
+  net::Writer(past).u64(1000000);
+  net::Buf huge = net::bulk_header(net::BulkKind::kNack, 10);
+  net::Writer(huge).u32(0xFFFFFFFFu);
+  net::Writer(huge).u64(0);
+  ASSERT_TRUE(forger.send_to(tx.port(), past.data(), past.size()));
+  ASSERT_TRUE(forger.send_to(tx.port(), huge.data(), huge.size()));
+  transfer(10, 512);
 }
 
 TEST(RtBulk, ReceiverTimesOutWithoutSender) {
